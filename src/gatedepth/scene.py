@@ -92,24 +92,16 @@ class SliceImageSet:
         return self.images[0].shape[1]
 
 
-_TABLE_POINTS = 4096
-
-
 def _overlap_at(cfg, r):
     """Overlap (ns) of one slice at distances ``r``.
 
-    Rectangular shapes evaluate in closed form. Other shapes go through
-    quadrature, tabulated on a dense grid and linearly interpolated for
-    large batches (the overlap is piecewise smooth, so the interpolation
-    error is far below the 8-bit quantization step).
+    Rectangular shapes evaluate in closed form, other shapes through the
+    vectorized Gauss-Legendre kernel; either way each value depends on its
+    own distance only, never on the rest of the batch.
     """
     if cfg.is_rectangular:
         return rect_overlap(cfg, r)
-    if r.size > _TABLE_POINTS and r.max() > r.min():
-        grid = np.linspace(r.min(), r.max(), _TABLE_POINTS)
-        table = np.array([gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, g) for g in grid])
-        return np.interp(r, grid, table)
-    return np.array([gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, ri) for ri in r])
+    return gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r)
 
 
 def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
@@ -224,7 +216,14 @@ def generate_dataset(n, r_distribution, alpha_distribution, slices, noise: Noise
         calib = calibration_for_peak(slices, r_distribution.lo, r_distribution.hi,
                                      target_peak_gray, gamma_per_m)
     gray = simulate_batch(r, alpha, slices, gamma_per_m, calib, noise)
-    return [Sample(int(a), int(b), int(c), float(ri)) for (a, b, c), ri in zip(gray, r)]
+    # Plain-Python column lists build Samples faster than numpy scalars do.
+    # Chunks keep those temporary lists small: whole-array lists raised the
+    # process's peak memory by several MiB.
+    samples = []
+    for start in range(0, n, _NOISE_CHUNK):
+        rows = slice(start, start + _NOISE_CHUNK)
+        samples += map(Sample, *gray[rows].T.tolist(), r[rows].tolist())
+    return samples
 
 
 def render_slices(depth, reflectance, slices, noise: NoiseModel, gamma_per_m=0.0, calib=1.0) -> SliceImageSet:

@@ -100,6 +100,94 @@ class TestGatedResponse:
             else:
                 assert numeric == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_edge_trapezoid_equals_closed_form_to_rounding(self):
+        rng = np.random.default_rng(11)
+        tl, tg, t0 = rng.uniform(20.0, 300.0, (3, 200))
+        for i in range(tl.size):
+            r = rng.uniform(0.0, 120.0, 16)
+            closed = gated_response(PulseShape(tl[i]), GateShape(tg[i]), t0[i], r)
+            numeric = gated_response(
+                PulseShape(tl[i], kind="trapezoidal", rise_ns=0.0, fall_ns=0.0), GateShape(tg[i]), t0[i], r
+            )
+            np.testing.assert_allclose(numeric, closed, rtol=1e-12, atol=1e-12)
+
+    def test_trapezoidal_pulse_rectangular_gate_matches_closed_form(self):
+        def area(x, w, a, b):
+            # integral over [0, x] of the unit trapezoid with rise a and fall b
+            x = min(max(x, 0.0), w)
+            if x <= a:
+                return x * x / (2.0 * a)
+            if x <= w - b:
+                return 0.5 * a + (x - a)
+            return 0.5 * a + (w - a - b) + (b * b - (w - x) ** 2) / (2.0 * b)
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            w, tg, t0 = rng.uniform(20.0, 300.0, 3)
+            a, b = rng.uniform(0.05, 0.5, 2) * w
+            r = rng.uniform(0.0, 120.0)
+            tau = 2.0 * r / C0
+            gate_open = w + t0
+            expected = area(gate_open + tg - tau, w, a, b) - area(gate_open - tau, w, a, b)
+            got = gated_response(PulseShape(w, "trapezoidal", rise_ns=a, fall_ns=b), GateShape(tg), t0, r)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("pulse, gate", [
+        (PulseShape(120.0, "gaussian", sigma_ns=25.0), GateShape(180.0)),
+        (PulseShape(120.0, "gaussian", sigma_ns=25.0), GateShape(180.0, "triangular")),
+        (PulseShape(120.0, "gaussian", sigma_ns=25.0), GateShape(180.0, "trapezoidal", rise_ns=30.0, fall_ns=50.0)),
+        (PulseShape(120.0, "gaussian", sigma_ns=1.2), GateShape(180.0, "triangular")),
+        (PulseShape(120.0, "triangular"), GateShape(180.0, "triangular")),
+        (PulseShape(120.0, "trapezoidal", rise_ns=40.0, fall_ns=25.0),
+         GateShape(180.0, "trapezoidal", rise_ns=70.0, fall_ns=50.0)),
+    ])
+    def test_matches_64_node_reference(self, pulse, gate):
+        # sloped pulse and gate edges overlap, so the integrand is quadratic
+        # (or gaussian) between knots; the reference splits each interval
+        # between the edge and centre knots into 16 panels of 64 nodes
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        delay = 40.0
+        w = pulse.width_ns
+        for r in np.linspace(3.0, 50.0, 48):
+            tau, gate_open = 2.0 * r / C0, w + delay
+            lo, hi = max(tau, gate_open), min(tau + w, gate_open + gate.width_ns)
+            expected = 0.0
+            edges = np.r_[tau + np.array([0.0, pulse.rise_ns, 0.5 * w, w - pulse.fall_ns, w]),
+                          gate_open + np.array(gate.knots())]
+            knots = sorted({lo, hi} | {k for k in edges if lo < k < hi})
+            for a, b in zip(knots[:-1], knots[1:]):
+                panels = np.linspace(a, b, 17)
+                half = 0.5 * np.diff(panels)[:, None]
+                t = 0.5 * (panels[1:] + panels[:-1])[:, None] + half * nodes
+                expected += np.sum(half * weights * gate.gain(t - gate_open) * pulse.power(t - tau))
+            got = gated_response(pulse, gate, delay, r)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("pulse", [PulseShape(150.0), PulseShape(150.0, "triangular"),
+                                       PulseShape(150.0, "trapezoidal", rise_ns=20.0, fall_ns=35.0),
+                                       PulseShape(150.0, "gaussian")])
+    def test_array_input_gives_scalar_bits(self, pulse):
+        gate = GateShape(200.0, "trapezoidal", rise_ns=25.0, fall_ns=10.0)
+        r = np.linspace(0.0, 80.0, 301)
+        delays = np.linspace(0.0, 60.0, 7)
+        grid = gated_response(pulse, gate, delays[:, None], r[None, :])
+        assert grid.shape == (delays.size, r.size)
+        for i, d in enumerate(delays):
+            for j in range(0, r.size, 13):
+                value = gated_response(pulse, gate, d, r[j])
+                assert isinstance(value, float)
+                assert value == grid[i, j]
+
+    @pytest.mark.parametrize("kind", ["rectangular", "trapezoidal"])
+    def test_rejects_bad_entries_inside_arrays(self, kind):
+        pulse, gate = PulseShape(100.0, kind), GateShape(100.0)
+        with pytest.raises(ValueError):
+            gated_response(pulse, gate, 10.0, np.array([5.0, -1.0, 7.0]))
+        with pytest.raises(ValueError):
+            gated_response(pulse, gate, 10.0, np.array([5.0, np.nan]))
+        with pytest.raises(ValueError):
+            gated_response(pulse, gate, np.array([10.0, np.inf]), 5.0)
+
     def test_zero_outside_support_on_dense_grid(self, slices):
         for cfg in slices:
             r_min, r_max = slice_support(cfg)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedepth.gating import Atmosphere, slice_support
+from gatedepth.gating import Atmosphere, GateShape, PulseShape, SliceConfig, slice_support
 from gatedepth.scene import (
     EmpiricalHistogram,
     NoiseModel,
@@ -132,24 +134,38 @@ class TestGenerateDataset:
             generate_dataset(10, UniformRange(-5.0, 5.0), 0.5, slices,
                              NoiseModel(0.0, seed=1), calib=10.0)
 
-    def test_tabulated_overlap_matches_direct_quadrature(self):
-        # large batches of non-rectangular slices take the interpolation path;
-        # spot-check it against direct evaluation
-        from gatedepth.gating import GateShape, PulseShape, SliceConfig, gated_response
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_finite_edge_values_do_not_depend_on_the_batch(self, data):
+        # the overlap kernel works in 4096-row chunks; sizes on both sides
+        n = data.draw(st.one_of(st.integers(1, 4096), st.integers(4097, 9000)), label="n")
+        slices = data.draw(st.lists(finite_edge_slices(), min_size=1, max_size=3), label="slices")
+        gamma = data.draw(st.sampled_from([0.0, 0.004]), label="gamma")
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(1.0, 200.0, n)
+        whole = slice_values(slices, r, 0.7, gamma)
+        for i in {n - 1, data.draw(st.integers(0, n - 1), label="i")}:
+            np.testing.assert_array_equal(whole[i], slice_values(slices, r[i : i + 1], 0.7, gamma)[0])
+        k = data.draw(st.integers(0, n), label="split")
+        parts = np.concatenate([slice_values(slices, r[:k], 0.7, gamma), slice_values(slices, r[k:], 0.7, gamma)])
+        np.testing.assert_array_equal(whole, parts)
 
-        cfg = SliceConfig(5, PulseShape(100.0, "trapezoidal", rise_ns=15.0, fall_ns=15.0),
-                          GateShape(200.0, "trapezoidal", rise_ns=20.0, fall_ns=20.0), 80.0)
-        rng = np.random.default_rng(4)
-        r = rng.uniform(10.0, 70.0, 6000)
-        vals = slice_values([cfg], r, 1.0)[:, 0]
-        peak = vals.max()
-        for i in rng.integers(0, r.size, 25):
-            direct = cfg.pulses * gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r[i]) / r[i] ** 2
-            # interpolation error stays far below the quantization scale
-            assert vals[i] == pytest.approx(direct, rel=1e-3, abs=1e-6 * peak)
-        top = int(np.argmax(vals))
-        direct_top = cfg.pulses * gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r[top]) / r[top] ** 2
-        assert peak == pytest.approx(direct_top, rel=1e-5)
+
+@st.composite
+def finite_edge_slices(draw):
+    """A slice with a trapezoidal, triangular or gaussian pulse and a finite-edge gate."""
+    width = st.floats(20.0, 400.0)
+    edge = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
+    tl, tg = draw(width), draw(width)
+    kind = draw(st.sampled_from(["trapezoidal", "triangular", "gaussian"]))
+    if kind == "trapezoidal":
+        pulse = PulseShape(tl, kind, rise_ns=draw(edge) * tl, fall_ns=draw(edge) * tl)
+    else:
+        pulse = PulseShape(tl, kind)
+    if draw(st.booleans()):
+        gate = GateShape(tg, "trapezoidal", rise_ns=draw(edge) * tg, fall_ns=draw(edge) * tg)
+    else:
+        gate = GateShape(tg, "triangular")
+    return SliceConfig(draw(st.integers(1, 800)), pulse, gate, draw(st.floats(0.0, 400.0)))
 
 
 class TestRenderSlices:
