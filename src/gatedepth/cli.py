@@ -31,7 +31,7 @@ from .network import (GridSpec, NetworkArch, TrainConfig, grid_search, load_mode
                       parse_hidden, predict_depth_batch, probe_learned_function,
                       save_model, train)
 from .pgmio import read_pgm
-from .pipeline import (build_dataset, load_samples, prefilter, prefilter_counts,
+from .pipeline import (VARIANTS, build_dataset, load_samples, prefilter, prefilter_counts,
                        save_samples, split, standardized_arrays, variant)
 from .scene import NoiseModel, SliceImageSet, UniformRange, generate_dataset
 
@@ -134,14 +134,19 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
             hidden_layouts=tuple(parse_hidden(v) for v in args.architectures.split(",")),
             activations=tuple(v.strip() for v in args.activations.split(",")),
         )
+    tags = args.variants.split(",") if args.variants else [cfg.variant]
+    try:
+        specs = [variant(tag.strip()) for tag in tags]
+    except ValueError as exc:
+        raise ConfigError(f"--variants: {exc}") from None
     datasets = []
     raw = prefilter(load_samples(args.input))
-    for tag in (args.variants.split(",") if args.variants else [cfg.variant]):
-        filtered = build_dataset(raw, variant(tag.strip()))
+    for tag, spec in zip(tags, specs):
+        filtered = build_dataset(raw, spec)
         if not len(filtered):
             raise DataFormatError(f"variant {tag}: empty dataset after filtering")
         tr, va = split(filtered, cfg.train_fraction, cfg.stage_seed(f"split.{tag}"))
-        datasets.append((tag.strip(), standardized_arrays(tr), standardized_arrays(va)))
+        datasets.append((spec.tag, standardized_arrays(tr), standardized_arrays(va)))
     result = grid_search(datasets, grid, max_epochs=cfg.max_epochs, patience=cfg.patience,
                          seed=cfg.stage_seed("gridsearch"), threads=args.threads)
     result.write_csv(out / "grid_results.csv")
@@ -241,7 +246,7 @@ def build_parser():
 
     p = sub.add_parser("preprocess", help="prefilter and variant-filter a sample CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--variant", choices=("dataset1", "dataset2", "dataset3", "dataset4"))
+    p.add_argument("--variant", choices=sorted(VARIANTS))
 
     p = sub.add_parser("train", help="train the regression network on a sample CSV")
     p.add_argument("--input", required=True)

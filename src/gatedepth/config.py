@@ -9,11 +9,13 @@ run manifests record for reproducibility.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .gating import SliceConfig, standard_slices
-from .network import parse_hidden
+from .network import ACTIVATIONS, NetworkArch, parse_hidden
+from .pipeline import VARIANTS
 from .seeding import derive_seed
 
 
@@ -74,7 +76,17 @@ def _slice_set(cfg: RunConfig, index: int, attr: str, value: float):
 
 
 def _hidden_set(cfg: RunConfig, value: str):
-    cfg.hidden = parse_hidden(value)
+    cfg.hidden = NetworkArch(parse_hidden(value)).hidden
+
+
+def _checked(parse, ok, requirement):
+    """``parse``, rejecting values for which ``ok`` is false."""
+    def parse_checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"{value!r} is not {requirement}")
+        return value
+    return parse_checked
 
 
 # key -> (parse, get, set); fixed order defines the canonical serialization
@@ -100,24 +112,29 @@ for i in range(3):
             lambda cfg, v, i=i, attr=attr: _slice_set(cfg, i, attr, v),
         )
 _simple("atmosphere.gamma_per_m", "gamma_per_m", float)
-_simple("noise.sigma_gray", "noise_sigma_gray", float)
-_simple("dataset.variant", "variant", str)
+_simple("noise.sigma_gray", "noise_sigma_gray",
+        _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0"))
+_simple("dataset.variant", "variant",
+        _checked(str, lambda v: v in VARIANTS, f"one of {sorted(VARIANTS)}"))
 _register("network.hidden", str,
           lambda cfg: "-".join(str(w) for w in cfg.hidden),
           lambda cfg, v: _hidden_set(cfg, v))
-_simple("network.activation", "activation", str)
+_simple("network.activation", "activation",
+        _checked(str, lambda v: v.lower() in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}"))
 _simple("train.learning_rate", "learning_rate", float)
 _simple("train.batch_size", "batch_size", int)
 _simple("train.max_epochs", "max_epochs", int)
 _simple("train.patience", "patience", int)
-_simple("train.fraction", "train_fraction", float)
+_simple("train.fraction", "train_fraction",
+        _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
 _simple("sim.samples", "sim_samples", int)
 _simple("sim.r_min_m", "sim_r_min_m", float)
 _simple("sim.r_max_m", "sim_r_max_m", float)
 _simple("sim.alpha_min", "sim_alpha_min", float)
 _simple("sim.alpha_max", "sim_alpha_max", float)
 _simple("sim.target_peak_gray", "target_peak_gray", float)
-_simple("eval.bin_width_m", "eval_bin_width_m", float)
+_simple("eval.bin_width_m", "eval_bin_width_m",
+        _checked(float, lambda v: 0 < v < math.inf, "finite and > 0"))
 _simple("baseline.dark_floor", "baseline_dark_floor", float)
 _simple("baseline.tolerance_m", "baseline_tolerance_m", float)
 _simple("probe.max_gray", "probe_max_gray", int)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import EstimatorError, NoSignalError, UnsupportedShapeError
 from .gating import SPEED_OF_LIGHT_M_PER_NS as _C0
 from .gating import SliceConfig, rip_breakpoints
+from .pipeline import screen_triples
 
 DARK = "dark"
 RISING = "rising"
@@ -308,17 +309,12 @@ def baseline_estimate_batch(triples, table: SectionTable, dark_floor=6.0, tolera
     """Vector of baseline estimates over raw triples (NaN where invalid).
 
     baseline_estimate expects prefiltered input, so rows that fail the
-    prefilter predicates (saturated or low contrast) come back as NaN here,
-    mirroring the validity rule of the network predictor.
+    prefilter's screen (``pipeline.screen_triples``) come back as NaN here,
+    as they do from the network predictor.
     """
-    from .pipeline import CONTRAST_FLOOR, SATURATION_LIMIT
-
     triples = np.asarray(triples, dtype=float).reshape(-1, len(table.slices))
     out = np.full(triples.shape[0], np.nan)
-    mx = triples.max(axis=1)
-    mn = triples.min(axis=1)
-    usable = np.all(np.isfinite(triples), axis=1) & (mx <= SATURATION_LIMIT) & (mx - mn >= CONTRAST_FLOOR)
-    for i in np.flatnonzero(usable):
+    for i in np.flatnonzero(screen_triples(triples)[2]):
         est = baseline_estimate(triples[i], table, dark_floor, tolerance_m)
         if est is not None:
             out[i] = est

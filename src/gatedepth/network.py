@@ -3,7 +3,9 @@
 Maps a standardized intensity triple to a range in metres through a chain of
 affine layers with elementwise nonlinearities and a linear output. Training
 is plain minibatch SGD on the mean absolute error with early stopping on
-validation MAE; everything is deterministic under a fixed seed.
+validation MAE; ``backward`` and ``train`` share one backprop loop, and
+everything is deterministic under a fixed seed. Prediction uses the dataset
+prefilter's validity screen.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataFormatError, TrainingDivergedError
-from .pipeline import CONTRAST_FLOOR, SATURATION_LIMIT, standardize_batch
+from .pipeline import CONTRAST_FLOOR, screen_triples, standardize_batch
 from .seeding import derive_seed
 
 INPUT_WIDTH = 3
@@ -171,17 +173,20 @@ def backward(model: NetworkModel, x, y):
     pred, cache = _forward_cached(model, x)
     if not np.all(np.isfinite(pred)):
         raise TrainingDivergedError("non-finite activations in forward pass")
-    _, act_grad = ACTIVATIONS[model.arch.activation]
+    return _backprop(model.weights, cache, pred, y, ACTIVATIONS[model.arch.activation][1])
 
+
+def _backprop(weights, cache, pred, y, act_grad):
+    """Per-layer (weight, bias) gradients of the batch MAE from a cached forward pass."""
     delta = (np.sign(pred - y) / y.size)[:, None]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        a_in, z, a_out = cache[i]
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        a_in = cache[i][0]
         grads_w[i] = a_in.T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * act_grad(*cache[i - 1][1:])
+            delta = (delta @ weights[i].T) * act_grad(*cache[i - 1][1:])
     return grads_w, grads_b
 
 
@@ -226,6 +231,7 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
         raise ValueError("training and validation sets must be non-empty")
 
     model = init_params(arch, cfg.seed)
+    _, act_grad = ACTIVATIONS[arch.activation]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
 
     best_w, best_b = model.copy_params()
@@ -243,19 +249,13 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
             if not np.all(np.isfinite(pred)):
                 raise TrainingDivergedError(f"non-finite forward pass at epoch {epoch}", epoch=epoch)
             batch_losses.append(float(np.mean(np.abs(pred - yb))))
-            delta = (np.sign(pred - yb) / yb.size)[:, None]
-            _, act_grad = ACTIVATIONS[arch.activation]
-            for i in range(len(model.weights) - 1, -1, -1):
-                a_in, z, _ = cache[i]
-                gw = a_in.T @ delta
-                gb = delta.sum(axis=0)
-                if i > 0:
-                    delta = (delta @ model.weights[i].T) * act_grad(*cache[i - 1][1:])
-                model.weights[i] -= cfg.learning_rate * gw
-                model.biases[i] -= cfg.learning_rate * gb
+            grads_w, grads_b = _backprop(model.weights, cache, pred, yb, act_grad)
+            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+                w -= cfg.learning_rate * gw
+                b -= cfg.learning_rate * gb
 
         train_mae = float(np.mean(batch_losses))
-        val_pred, _ = _forward_cached(model, x_val)
+        val_pred = _forward_cached(model, x_val)[0]  # drop the cache before the next epoch
         if not np.all(np.isfinite(val_pred)):
             raise TrainingDivergedError(f"non-finite validation pass at epoch {epoch}", epoch=epoch)
         val_mae = float(np.mean(np.abs(val_pred - y_val)))
@@ -415,15 +415,11 @@ def predict_depth(model: NetworkModel, triple):
 def predict_depth_batch(model: NetworkModel, triples):
     """Vectorized prediction on raw triples; invalid pixels become NaN.
 
-    Validity mirrors the dataset prefilter: every value at most 250 and a
-    max-min spread of at least 6.
+    Validity is the dataset prefilter's screen (``pipeline.screen_triples``).
     """
     values = np.asarray(triples, dtype=float).reshape(-1, 3)
     out = np.full(values.shape[0], np.nan)
-    finite = np.all(np.isfinite(values), axis=1)
-    mx = values.max(axis=1)
-    mn = values.min(axis=1)
-    valid = finite & (mx <= SATURATION_LIMIT) & (mx - mn >= CONTRAST_FLOOR)
+    valid = screen_triples(values)[2]
     if np.any(valid):
         out[valid] = forward(model, standardize_batch(values[valid]))
     return out

@@ -67,6 +67,8 @@ def read_pgm(path):
         width, height, maxval = int(width), int(height), int(maxval)
     except (StopIteration, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed PGM header") from exc
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{path}: image size {width}x{height} is not positive")
     if not (0 < maxval < 65536):
         raise DataFormatError(f"{path}: maxval {maxval} out of range")
 

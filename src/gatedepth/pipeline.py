@@ -5,7 +5,8 @@ ground-truth geometric range in metres. Preprocessing mirrors the capture
 pipeline: a prefilter removes saturated and unilluminated triples, optional
 per-triple range filtering condenses repeated triples, and per-sample
 standardization makes the regression input invariant to reflectance and
-overall illumination scale.
+overall illumination scale. ``screen_triples`` is the one validity screen:
+the prefilter, its counts and both depth predictors use it.
 """
 
 from __future__ import annotations
@@ -61,19 +62,28 @@ class RawDataset:
     def __iter__(self):
         return iter(self.samples)
 
+    def triples(self):
+        """The intensity triples as an (n, 3) int array."""
+        return np.fromiter((s.triple for s in self.samples), (np.int64, 3), len(self.samples))
+
     def arrays(self):
         """Return (intensities (n,3) float array, ranges (n,) float array)."""
-        s = np.array([sample.triple for sample in self.samples], dtype=float)
         r = np.array([sample.r for sample in self.samples], dtype=float)
-        return s.reshape(-1, 3), r
+        return self.triples().astype(float), r
 
 
-def is_saturated(s1, s2, s3):
-    return max(s1, s2, s3) > SATURATION_LIMIT
-
-
-def is_low_contrast(s1, s2, s3):
-    return max(s1, s2, s3) - min(s1, s2, s3) < CONTRAST_FLOOR
+def screen_triples(values):
+    """The validity screen: (saturated, low_contrast, usable) row masks of an
+    (n, k) gray-value array. Saturated rows have a value above
+    ``SATURATION_LIMIT``, low-contrast rows are the others with a max-min
+    spread below ``CONTRAST_FLOOR``, and usable rows are finite and neither."""
+    values = np.asarray(values, dtype=float)
+    mx = values.max(axis=1)
+    saturated = mx > SATURATION_LIMIT
+    with np.errstate(invalid="ignore"):  # inf - inf in all-inf rows
+        low_contrast = ~saturated & (mx - values.min(axis=1) < CONTRAST_FLOOR)
+    usable = np.isfinite(values).all(axis=1) & ~saturated & ~low_contrast
+    return saturated, low_contrast, usable
 
 
 def load_samples(path) -> RawDataset:
@@ -124,25 +134,13 @@ def save_samples(samples, path):
 
 def prefilter(data: RawDataset) -> RawDataset:
     """Drop saturated (any value > 250) and unilluminated (spread < 6) samples."""
-    kept = [
-        s
-        for s in data.samples
-        if not is_saturated(s.s1, s.s2, s.s3) and not is_low_contrast(s.s1, s.s2, s.s3)
-    ]
-    return RawDataset(kept, source=data.source)
+    usable = screen_triples(data.triples())[2].tolist()
+    return RawDataset([s for s, ok in zip(data.samples, usable) if ok], source=data.source)
 
 
 def prefilter_counts(data: RawDataset):
     """Return (saturated, low_contrast, kept) counts without filtering."""
-    saturated = low = kept = 0
-    for s in data.samples:
-        if is_saturated(s.s1, s.s2, s.s3):
-            saturated += 1
-        elif is_low_contrast(s.s1, s.s2, s.s3):
-            low += 1
-        else:
-            kept += 1
-    return saturated, low, kept
+    return tuple(int(mask.sum()) for mask in screen_triples(data.triples()))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The forward model per pixel is the gated response of each slice scaled by
 pulse count, reflectance, extinction and 1/r^2 irradiance, mapped to gray
 values by a single calibration scalar, with optional additive gaussian noise,
-then rounded and clamped to 8 bit.
+then rounded and clamped to 8 bit. Noise comes from one index-addressed
+stream (``NoiseModel.rows``): samples are addressed by sample index and
+rendered pixels by pixel index.
 """
 
 from __future__ import annotations
@@ -50,17 +52,24 @@ class NoiseModel:
 
     def triples(self, n, start_index=0):
         """Gaussian noise for samples [start_index, start_index + n) as (n, 3)."""
-        out = np.zeros((n, 3), dtype=float)
-        if self.sigma_gray == 0.0 or n == 0:
+        return self.rows(np.arange(start_index, start_index + n))
+
+    def rows(self, indices):
+        """Gaussian noise for arbitrary sample or pixel indices as (len(indices), 3).
+
+        Row ``i`` is row ``i % 4096`` of the block drawn from (seed, i // 4096),
+        so any index set gets the rows one contiguous draw gives those indices.
+        """
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = np.zeros((indices.size, 3), dtype=float)
+        if self.sigma_gray == 0.0 or indices.size == 0:
             return out
-        first = start_index // _NOISE_CHUNK
-        last = (start_index + n - 1) // _NOISE_CHUNK
-        for chunk in range(first, last + 1):
+        order = np.argsort(indices, kind="stable")
+        chunks, starts = np.unique(indices[order] // _NOISE_CHUNK, return_index=True)
+        for chunk, sel in zip(chunks.tolist(), np.split(order, starts[1:])):
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(1, chunk))
             block = np.random.default_rng(seq).normal(0.0, self.sigma_gray, (_NOISE_CHUNK, 3))
-            lo = max(chunk * _NOISE_CHUNK, start_index)
-            hi = min((chunk + 1) * _NOISE_CHUNK, start_index + n)
-            out[lo - start_index : hi - start_index] = block[lo - chunk * _NOISE_CHUNK : hi - chunk * _NOISE_CHUNK]
+            out[sel] = block[indices[sel] % _NOISE_CHUNK]
         return out
 
 
@@ -138,8 +147,7 @@ def simulate_batch(r, alpha, slices, gamma_per_m, calib, noise: NoiseModel, star
     if calib <= 0 or not math.isfinite(calib):
         raise ValueError("calibration scalar must be positive and finite")
     gray = calib * slice_values(slices, r, alpha, gamma_per_m)
-    if noise.sigma_gray > 0:
-        gray = gray + noise.triples(gray.shape[0], start_index)
+    gray = gray + noise.triples(gray.shape[0], start_index)
     return np.clip(np.rint(gray), 0, 255).astype(np.int64)
 
 
@@ -241,32 +249,9 @@ def render_slices(depth, reflectance, slices, noise: NoiseModel, gamma_per_m=0.0
     valid = np.isfinite(flat_d) & (flat_d > 0)
     gray = np.zeros((flat_d.size, 3), dtype=np.int64)
     idx = np.flatnonzero(valid)
-    # Noise stays indexed by pixel position so renders are reproducible
-    # regardless of how many pixels are sky.
-    for start in range(0, idx.size, _NOISE_CHUNK):
-        sel = idx[start : start + _NOISE_CHUNK]
-        vals = calib * slice_values(slices, flat_d[sel], flat_a[sel], gamma_per_m)
-        if noise.sigma_gray > 0:
-            vals = vals + _pixel_noise(noise, sel)
-        gray[sel] = np.clip(np.rint(vals), 0, 255).astype(np.int64)
+    # Noise is indexed by pixel position, so a pixel's gray value does not
+    # depend on how many other pixels are sky.
+    vals = calib * slice_values(slices, flat_d[idx], flat_a[idx], gamma_per_m) + noise.rows(idx)
+    gray[idx] = np.clip(np.rint(vals), 0, 255).astype(np.int64)
     images = tuple(gray[:, j].reshape(depth.shape).astype(np.uint8) for j in range(3))
     return SliceImageSet(images, depth=depth)
-
-
-def _pixel_noise(noise: NoiseModel, indices):
-    """Noise rows for arbitrary pixel indices, chunk-aligned for determinism."""
-    indices = np.asarray(indices)
-    out = np.empty((indices.size, 3), dtype=float)
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    pos = 0
-    while pos < sorted_idx.size:
-        chunk = sorted_idx[pos] // _NOISE_CHUNK
-        end = pos
-        while end < sorted_idx.size and sorted_idx[end] // _NOISE_CHUNK == chunk:
-            end += 1
-        seq = np.random.SeedSequence(entropy=noise.seed, spawn_key=(1, int(chunk)))
-        block = np.random.default_rng(seq).normal(0.0, noise.sigma_gray, (_NOISE_CHUNK, 3))
-        out[order[pos:end]] = block[sorted_idx[pos:end] - chunk * _NOISE_CHUNK]
-        pos = end
-    return out

@@ -215,6 +215,35 @@ class TestCli:
         broken.write_text("s1,s2,s3,r\n1,2\n")
         assert main(["--out", str(tmp_path), "preprocess", "--input", str(broken)]) == 3
 
+    @pytest.mark.parametrize("command", ["sections", "train", "preprocess"])
+    @pytest.mark.parametrize("line", [
+        "network.activation = swish",
+        "dataset.variant = nope",
+        "train.fraction = 1.5",
+        "train.fraction = 0",
+        "network.hidden = 20-0",
+        "noise.sigma_gray = -1",
+        "eval.bin_width_m = -1",
+    ])
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, sample_csv, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        args = [] if command == "sections" else ["--input", str(sample_csv)]
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command, *args]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    def test_unknown_gridsearch_variant_is_a_usage_error(self, tmp_path, capsys, sample_csv):
+        assert main(["--out", str(tmp_path), "gridsearch", "--input", str(sample_csv),
+                     "--variants", "dataset2,nope"]) == 2
+        assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_positive_pgm_size_is_an_io_error(self, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5 -3 4 255\n" + bytes(12))
+        assert main(["--out", str(tmp_path), "depthmap", "--slice1", str(bad),
+                     "--slice2", str(bad), "--slice3", str(bad)]) == 3
+
     def test_help_exists_for_every_subcommand(self, capsys):
         parser = build_parser()
         for command in _COMMANDS:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedepth.estimators import build_section_table
+from gatedepth.estimators import baseline_estimate_batch, build_section_table
 from gatedepth.evaluation import (
     DepthMap,
     baseline_estimator,
@@ -11,8 +13,8 @@ from gatedepth.evaluation import (
     read_depth_pgm,
     render_depth_map,
 )
-from gatedepth.network import NetworkArch, init_params
-from gatedepth.pipeline import CONTRAST_FLOOR, SATURATION_LIMIT
+from gatedepth.network import NetworkArch, init_params, predict_depth_batch
+from gatedepth.pipeline import CONTRAST_FLOOR, SATURATION_LIMIT, RawDataset, Sample, prefilter
 from gatedepth.scene import NoiseModel, SliceImageSet, render_slices
 
 
@@ -178,3 +180,28 @@ class TestDepthMap:
         assert back.depth[0, 0] == pytest.approx(1.5, abs=1 / 256)
         assert back.depth[1, 0] == pytest.approx(120.25, abs=1 / 256)
         assert back.depth[1, 1] == pytest.approx(1 / 256, abs=1e-9)
+
+
+_triple = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
+
+
+class TestValidityScreen:
+    """predict_depth_batch and baseline_estimate_batch share the prefilter's screen."""
+
+    MODEL = init_params(NetworkArch((4,), "relu"), seed=0)
+
+    @given(st.lists(_triple, min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_estimators_follow_the_prefilter(self, section_table, triples):
+        kept = np.array([len(prefilter(RawDataset([Sample(*t, 1.0)]))) == 1 for t in triples])
+        values = np.array(triples, dtype=float)
+        np.testing.assert_array_equal(np.isfinite(predict_depth_batch(self.MODEL, values)), kept)
+        assert np.all(np.isnan(baseline_estimate_batch(values, section_table)[~kept]))
+
+    @given(_triple, st.integers(0, 2), st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_rows_are_never_usable(self, section_table, triple, column, bad):
+        values = np.array([triple, (10, 100, 30)], dtype=float)
+        values[0, column] = bad
+        assert np.isnan(predict_depth_batch(self.MODEL, values)[0])
+        assert np.isnan(baseline_estimate_batch(values, section_table)[0])

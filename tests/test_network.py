@@ -22,6 +22,7 @@ from gatedepth.network import (
     train,
     valid_probe_triples,
 )
+from gatedepth.seeding import derive_seed
 
 
 def max_relative_gradient_error(got, ref, atol=1e-8):
@@ -232,8 +233,10 @@ class TestTrain:
     def test_divergence_reported_with_epoch(self):
         train_xy, val_xy = tiny_problem(n=512, seed=9)
         cfg = TrainConfig(1e9, 16, max_epochs=5, patience=5, seed=2)
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError) as info:
             train(train_xy, val_xy, NetworkArch((12,), "relu"), cfg)
+        epoch = info.value.epoch
+        assert isinstance(epoch, int) and 0 <= epoch < cfg.max_epochs
 
     def test_rejects_empty_sets(self):
         with pytest.raises(ValueError):
@@ -297,6 +300,12 @@ class TestGrid:
         assert diverged_rows and result.best.learning_rate == 0.01
         flagged = dict((idx, flag) for idx, _, flag in result.ranking)
         assert flagged[diverged_rows[0].config_index]
+        # The row records the epoch at which the same solo run diverges.
+        row = diverged_rows[0]
+        cfg = TrainConfig(1e9, 16, 3, 3, seed=derive_seed(0, "grid", row.config_index))
+        with pytest.raises(TrainingDivergedError) as info:
+            train(train_xy, val_xy, NetworkArch((6,), "relu"), cfg)
+        assert row.epochs == info.value.epoch >= 0
 
     def test_thread_pool_does_not_change_results(self):
         train_xy, val_xy = tiny_problem(n=256)

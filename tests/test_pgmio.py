@@ -42,6 +42,19 @@ def test_rejects_wrong_magic(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [
+    b"P5\n4 4\n",  # no maxval
+    b"P5\nfour 4\n255\n",
+    b"P5\n-3 4\n255\n",
+    b"P5\n4 0\n255\n",
+])
+def test_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(DataFormatError):
+        read_pgm(path)
+
+
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))

@@ -218,3 +218,40 @@ def test_scene_point_validation():
         ScenePoint(-1.0, 0.5)
     with pytest.raises(ValueError):
         ScenePoint(10.0, 1.5)
+
+
+class TestIndexAddressedNoise:
+    N = 3 * 4096 + 100
+
+    @given(
+        st.lists(st.one_of(st.integers(0, N - 1), st.sampled_from([4095, 4096, 8191, 8192, 12288])),
+                 max_size=300),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_one_contiguous_draw(self, indices, seed):
+        noise = NoiseModel(1.5, seed)
+        full = noise.triples(self.N)
+        # The stream's definition: 4096-row blocks, each from (seed, block number).
+        blocks = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, c)))
+                  .normal(0.0, 1.5, (4096, 3)) for c in range(4)]
+        np.testing.assert_array_equal(full, np.vstack(blocks)[: self.N])
+        indices = np.asarray(indices, dtype=np.int64)
+        np.testing.assert_array_equal(noise.rows(indices), full[indices])
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_lit_pixel_gray_does_not_depend_on_sky(self, slices, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (70, 64)  # more pixels than one noise chunk
+        depth = rng.uniform(10.0, 150.0, shape)
+        reflect = rng.uniform(0.05, 0.9, shape)
+        noise = NoiseModel(2.0, data.draw(st.integers(0, 2**32 - 1)))
+        sky = rng.random(shape) < data.draw(st.floats(0.0, 1.0))
+        with_sky = depth.copy()
+        with_sky[sky] = data.draw(st.sampled_from([np.inf, np.nan, 0.0, -5.0]))
+        clear = render_slices(depth, reflect, slices, noise, calib=3.0)
+        masked = render_slices(with_sky, reflect, slices, noise, calib=3.0)
+        for a, b in zip(clear.images, masked.images):
+            np.testing.assert_array_equal(a[~sky], b[~sky])
+            assert not b[sky].any()
