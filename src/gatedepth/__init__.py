@@ -25,13 +25,11 @@ from .gating import (
 from .pipeline import (
     RawDataset,
     Sample,
-    StandardizedSample,
     build_dataset,
     load_samples,
     prefilter,
     save_samples,
     split,
-    standardize,
     standardize_batch,
     variant,
 )

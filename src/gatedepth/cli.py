@@ -164,13 +164,12 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
 def _cmd_predict(cfg: RunConfig, args, out: Path):
     model = load_model(args.model)
     data = load_samples(args.input)
-    triples, truth = data.arrays()
-    preds = predict_depth_batch(model, triples)
+    preds = predict_depth_batch(model, data.triples)
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s1,s2,s3,r_true,r_hat\n")
-        for s, r_true, r_hat in zip(data.samples, truth, preds):
-            hat = "" if not np.isfinite(r_hat) else repr(float(r_hat))
-            fh.write(f"{s.s1},{s.s2},{s.s3},{float(r_true)!r},{hat}\n")
+        for s1, s2, s3, r_true, r_hat in zip(*data.triples.T.tolist(), data.r.tolist(), preds.tolist()):
+            hat = repr(r_hat) if np.isfinite(r_hat) else ""
+            fh.write(f"{s1},{s2},{s3},{r_true!r},{hat}\n")
     print(f"wrote {preds.size} predictions ({np.isfinite(preds).mean():.1%} valid)")
 
 
@@ -201,7 +200,6 @@ def _cmd_eval(cfg: RunConfig, args, out: Path):
     if not args.model and not args.baseline:
         raise ConfigError("eval needs --model and/or --baseline")
     data = load_samples(args.input)
-    triples, truth = data.arrays()
     estimators = {}
     if args.model:
         estimators["network"] = network_estimator(load_model(args.model))
@@ -209,7 +207,7 @@ def _cmd_eval(cfg: RunConfig, args, out: Path):
         table = build_section_table(cfg.slices)
         estimators["baseline"] = baseline_estimator(table, cfg.baseline_dark_floor,
                                                     cfg.baseline_tolerance_m)
-    comparison = compare_estimators(estimators, triples, truth, cfg.eval_bin_width_m)
+    comparison = compare_estimators(estimators, data.triples, data.r, cfg.eval_bin_width_m)
     comparison.write_csv(out / "comparison.csv")
     for rep in comparison.reports:
         overall = (sum(r.mae * r.count for r in rep.binned.rows) / rep.binned.total_count
@@ -221,6 +219,9 @@ def _cmd_probe(cfg: RunConfig, args, out: Path):
     model = load_model(args.model)
     table = probe_learned_function(model, max_gray=cfg.probe_max_gray,
                                    contrast_floor=cfg.probe_contrast_floor)
+    if not table.total_triples:
+        raise GatedDepthError(f"no triple passes probe.max_gray = {cfg.probe_max_gray} and "
+                              f"probe.contrast_floor = {cfg.probe_contrast_floor}")
     table.write_csv(out / "probe.csv")
     print(f"evaluated {table.total_triples} valid triples into {table.bin_centers.size} bins")
 

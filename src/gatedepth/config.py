@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .gating import SliceConfig, standard_slices
-from .network import ACTIVATIONS, NetworkArch, parse_hidden
+from .network import ACTIVATIONS, NetworkArch, TrainConfig, parse_hidden
 from .pipeline import VARIANTS
 from .seeding import derive_seed
 
@@ -79,6 +79,11 @@ def _hidden_set(cfg: RunConfig, value: str):
     cfg.hidden = NetworkArch(parse_hidden(value)).hidden
 
 
+def _train_set(cfg: RunConfig, attr: str, value):
+    setattr(cfg, attr, value)
+    TrainConfig(cfg.learning_rate, cfg.batch_size, cfg.max_epochs, cfg.patience)  # its own checks
+
+
 def _checked(parse, ok, requirement):
     """``parse``, rejecting values for which ``ok`` is false."""
     def parse_checked(text):
@@ -121,10 +126,9 @@ _register("network.hidden", str,
           lambda cfg, v: _hidden_set(cfg, v))
 _simple("network.activation", "activation",
         _checked(str, lambda v: v.lower() in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}"))
-_simple("train.learning_rate", "learning_rate", float)
-_simple("train.batch_size", "batch_size", int)
-_simple("train.max_epochs", "max_epochs", int)
-_simple("train.patience", "patience", int)
+for attr, parse in (("learning_rate", float), ("batch_size", int), ("max_epochs", int), ("patience", int)):
+    _register(f"train.{attr}", parse, lambda cfg, attr=attr: getattr(cfg, attr),
+              lambda cfg, v, attr=attr: _train_set(cfg, attr, v))
 _simple("train.fraction", "train_fraction",
         _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
 _simple("sim.samples", "sim_samples", int)
@@ -137,8 +141,8 @@ _simple("eval.bin_width_m", "eval_bin_width_m",
         _checked(float, lambda v: 0 < v < math.inf, "finite and > 0"))
 _simple("baseline.dark_floor", "baseline_dark_floor", float)
 _simple("baseline.tolerance_m", "baseline_tolerance_m", float)
-_simple("probe.max_gray", "probe_max_gray", int)
-_simple("probe.contrast_floor", "probe_contrast_floor", int)
+_simple("probe.max_gray", "probe_max_gray", _checked(int, lambda v: 1 <= v <= 256, "in 1..256"))
+_simple("probe.contrast_floor", "probe_contrast_floor", _checked(int, lambda v: v >= 0, ">= 0"))
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

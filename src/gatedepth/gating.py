@@ -343,6 +343,15 @@ def rect_overlap(cfg: SliceConfig, r):
     return out if out.ndim else float(out)
 
 
+def slice_overlap(cfg: SliceConfig, r):
+    """Overlap (ns) of one slice at distances ``r``: closed form for
+    rectangular shapes, the Gauss-Legendre kernel otherwise. Either way each
+    value depends on its own distance only, never on the rest of the batch."""
+    if cfg.is_rectangular:
+        return rect_overlap(cfg, r)
+    return gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r)
+
+
 def gdp(pulse: PulseShape, gate: GateShape, r_m, delays):
     """Gate delay profile: response of a fixed target over a delay grid.
 
@@ -367,10 +376,7 @@ def rip(cfg: SliceConfig, atmo: Atmosphere, r_grid, include_irradiance=True):
         raise ValueError("distance grid must not be empty")
     if np.any(np.diff(r_grid) <= 0):
         raise ValueError("distance grid must be strictly increasing")
-    if cfg.is_rectangular:
-        vals = cfg.pulses * rect_overlap(cfg, r_grid)
-    else:
-        vals = cfg.pulses * gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r_grid)
+    vals = cfg.pulses * slice_overlap(cfg, r_grid)
     if include_irradiance:
         vals = vals * atmo.kappa(r_grid)  # raises on r <= 0
     return RangeProfile("distance_m", r_grid, vals)

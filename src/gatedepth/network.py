@@ -127,19 +127,19 @@ def init_params(arch: NetworkArch, seed: int) -> NetworkModel:
     return NetworkModel(arch, weights, biases, seed=seed)
 
 
-def _forward_cached(model: NetworkModel, x):
+def _forward(model: NetworkModel, x, cache=None):
+    """Network output for an (n, 3) batch; a given ``cache`` list receives
+    each layer's (input, pre-activation, output) for backprop."""
     act, _ = ACTIVATIONS[model.arch.activation]
     a = x
-    cache = []
+    last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
-        if i < len(model.weights) - 1:
-            a_next = act(z)
-        else:
-            a_next = z  # linear output layer
-        cache.append((a, z, a_next))
+        a_next = act(z) if i < last else z  # linear output layer
+        if cache is not None:
+            cache.append((a, z, a_next))
         a = a_next
-    return a[:, 0], cache
+    return a[:, 0]
 
 
 def forward(model: NetworkModel, x):
@@ -149,7 +149,7 @@ def forward(model: NetworkModel, x):
     arr = arr.reshape(-1, INPUT_WIDTH)
     if not np.all(np.isfinite(arr)):
         raise ValueError("network input must be finite")
-    pred, _ = _forward_cached(model, arr)
+    pred = _forward(model, arr)
     return float(pred[0]) if single else pred
 
 
@@ -170,7 +170,8 @@ def backward(model: NetworkModel, x, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape[0] == 0 or x.shape[0] != y.shape[0]:
         raise ValueError("batch must be non-empty with matching targets")
-    pred, cache = _forward_cached(model, x)
+    cache = []
+    pred = _forward(model, x, cache)
     if not np.all(np.isfinite(pred)):
         raise TrainingDivergedError("non-finite activations in forward pass")
     return _backprop(model.weights, cache, pred, y, ACTIVATIONS[model.arch.activation][1])
@@ -245,7 +246,8 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
         for start in range(0, order.size, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             xb, yb = x_train[sel], y_train[sel]
-            pred, cache = _forward_cached(model, xb)
+            cache = []
+            pred = _forward(model, xb, cache)
             if not np.all(np.isfinite(pred)):
                 raise TrainingDivergedError(f"non-finite forward pass at epoch {epoch}", epoch=epoch)
             batch_losses.append(float(np.mean(np.abs(pred - yb))))
@@ -255,7 +257,7 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
                 b -= cfg.learning_rate * gb
 
         train_mae = float(np.mean(batch_losses))
-        val_pred = _forward_cached(model, x_val)[0]  # drop the cache before the next epoch
+        val_pred = _forward(model, x_val)
         if not np.all(np.isfinite(val_pred)):
             raise TrainingDivergedError(f"non-finite validation pass at epoch {epoch}", epoch=epoch)
         val_mae = float(np.mean(np.abs(val_pred - y_val)))
@@ -480,11 +482,12 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
         normalized = triples / triples.max(axis=1, keepdims=True)
         idx = np.floor(preds / bin_width_m).astype(np.int64)
         uniq, inverse = np.unique(idx, return_inverse=True)
-        for k, key in enumerate(uniq):
-            sel = inverse == k
-            entry = sums.setdefault(int(key), [0, np.zeros(3)])
-            entry[0] += int(sel.sum())
-            entry[1] += normalized[sel].sum(axis=0)
+        counts = np.bincount(inverse)
+        col_sums = np.column_stack([np.bincount(inverse, weights=normalized[:, j]) for j in range(3)])
+        for key, n, row in zip(uniq.tolist(), counts.tolist(), col_sums):
+            entry = sums.setdefault(key, [0, np.zeros(3)])
+            entry[0] += n
+            entry[1] += row
 
     keys = sorted(sums)
     centers = np.array([(k + 0.5) * bin_width_m for k in keys])

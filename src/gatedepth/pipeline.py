@@ -1,7 +1,8 @@
 """Dataset ingestion and preprocessing.
 
 The dataset atom is a ``Sample``: three 8-bit slice intensities plus the
-ground-truth geometric range in metres. Preprocessing mirrors the capture
+ground-truth geometric range in metres; a ``RawDataset`` holds samples as
+a triple column and a range column. Preprocessing mirrors the capture
 pipeline: a prefilter removes saturated and unilluminated triples, optional
 per-triple range filtering condenses repeated triples, and per-sample
 standardization makes the regression input invariant to reflectance and
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,27 +52,35 @@ class Sample:
         return (self.s1, self.s2, self.s3)
 
 
-@dataclass
+@dataclass(eq=False)
 class RawDataset:
-    """An ordered collection of samples plus a provenance note."""
+    """Samples as an (n, 3) int64 gray-value array ``triples`` and an (n,)
+    range array ``r``, plus a provenance note. Iterating yields ``Sample``
+    rows; ``==`` compares the columns."""
 
-    samples: list
+    triples: np.ndarray
+    r: np.ndarray
     source: str = ""
 
+    def __post_init__(self):
+        self.triples = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
+        self.r = np.asarray(self.r, dtype=float).reshape(-1)
+        if len(self.triples) != len(self.r):
+            raise ValueError(f"{len(self.triples)} triples but {len(self.r)} ranges")
+
     def __len__(self):
-        return len(self.samples)
+        return len(self.r)
 
     def __iter__(self):
-        return iter(self.samples)
+        return map(Sample, *self.triples.T.tolist(), self.r.tolist())
 
-    def triples(self):
-        """The intensity triples as an (n, 3) int array."""
-        return np.fromiter((s.triple for s in self.samples), (np.int64, 3), len(self.samples))
+    def __eq__(self, other):
+        return (isinstance(other, RawDataset) and np.array_equal(self.triples, other.triples)
+                and np.array_equal(self.r, other.r))
 
-    def arrays(self):
-        """Return (intensities (n,3) float array, ranges (n,) float array)."""
-        r = np.array([sample.r for sample in self.samples], dtype=float)
-        return self.triples().astype(float), r
+    def take(self, rows):
+        """The rows picked by an index array or boolean mask, as a new dataset."""
+        return RawDataset(self.triples[rows], self.r[rows], self.source)
 
 
 def screen_triples(values):
@@ -86,12 +97,22 @@ def screen_triples(values):
     return saturated, low_contrast, usable
 
 
+def _check_row(path, lineno, row):
+    """Raise the ``Sample`` rule's message for a bad row, naming its line."""
+    try:
+        Sample(*row)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+
+
 def load_samples(path) -> RawDataset:
     """Load a ``s1,s2,s3,r`` CSV file, reporting bad rows by line number."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot open sample file {path}: {exc}") from exc
+    triples, ranges = array("q"), array("d")
+    blanks = []  # data-row count at each blank line, to map rows back to lines
     with fh:
         reader = csv.reader(fh)
         try:
@@ -102,9 +123,9 @@ def load_samples(path) -> RawDataset:
             raise DataFormatError(
                 f"{path}:1: expected header {','.join(SAMPLE_HEADER)}, got {','.join(header)}"
             )
-        samples = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
+                blanks.append(len(ranges))
                 continue
             if len(row) != 4:
                 raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
@@ -114,33 +135,36 @@ def load_samples(path) -> RawDataset:
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
             try:
-                samples.append(Sample(s1, s2, s3, r))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not samples:
+                triples.extend((s1, s2, s3))
+            except OverflowError:  # beyond int64, so certainly outside 0..255
+                _check_row(path, lineno, (s1, s2, s3, r))
+            ranges.append(r)
+    if not ranges:
         raise DataFormatError(f"{path}: no data rows")
-    return RawDataset(samples, source=str(path))
+    data = RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges), str(path))
+    bad = ((data.triples < 0) | (data.triples > 255)).any(axis=1) | ~(np.isfinite(data.r) & (data.r > 0))
+    if bad.any():
+        i = int(bad.argmax())
+        _check_row(path, i + 2 + bisect_right(blanks, i), (*data.triples[i].tolist(), float(data.r[i])))
+    return data
 
 
-def save_samples(samples, path):
-    """Write samples (or a RawDataset) as a ``s1,s2,s3,r`` CSV file."""
-    if isinstance(samples, RawDataset):
-        samples = samples.samples
+def save_samples(data: RawDataset, path):
+    """Write a dataset as a ``s1,s2,s3,r`` CSV file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(SAMPLE_HEADER) + "\n")
-        for s in samples:
-            fh.write(f"{s.s1},{s.s2},{s.s3},{float(s.r)!r}\n")
+        for s1, s2, s3, r in zip(*data.triples.T.tolist(), data.r.tolist()):
+            fh.write(f"{s1},{s2},{s3},{r!r}\n")
 
 
 def prefilter(data: RawDataset) -> RawDataset:
     """Drop saturated (any value > 250) and unilluminated (spread < 6) samples."""
-    usable = screen_triples(data.triples())[2].tolist()
-    return RawDataset([s for s, ok in zip(data.samples, usable) if ok], source=data.source)
+    return data.take(screen_triples(data.triples)[2])
 
 
 def prefilter_counts(data: RawDataset):
     """Return (saturated, low_contrast, kept) counts without filtering."""
-    return tuple(int(mask.sum()) for mask in screen_triples(data.triples()))
+    return tuple(int(mask.sum()) for mask in screen_triples(data.triples))
 
 
 @dataclass(frozen=True)
@@ -182,49 +206,32 @@ def variant(tag: str) -> DatasetVariant:
 
 
 def build_dataset(data: RawDataset, spec: DatasetVariant) -> RawDataset:
-    """Apply a variant's per-triple range filtering to prefiltered data."""
+    """Apply a variant's per-triple range filtering to prefiltered data.
+
+    Groups come out in sorted triple order. Group sums add ranges in file
+    order (``bincount`` sums each bin left to right), so means are the same
+    floats a plain per-group ``sum`` gives.
+    """
     if spec.passthrough:
-        return RawDataset(list(data.samples), source=data.source)
-
-    groups: dict = {}
-    for s in data.samples:
-        groups.setdefault(s.triple, []).append(s.r)
-
-    out = []
-    for triple in sorted(groups):
-        ranges = groups[triple]
-        mean0 = sum(ranges) / len(ranges)
-        if spec.far_cutoff_m is not None and mean0 > spec.far_cutoff_m:
-            deviation, min_count = spec.far_deviation_m, spec.far_min_count
-        else:
-            deviation, min_count = spec.deviation_m, spec.min_count
-        survivors = [r for r in ranges if abs(r - mean0) <= deviation]
-        if len(survivors) < min_count:
-            continue
-        mean1 = sum(survivors) / len(survivors)
-        if spec.collapse:
-            out.append(Sample(*triple, mean1))
-        else:
-            out.extend(Sample(*triple, r) for r in sorted(survivors))
-    return RawDataset(out, source=data.source)
-
-
-@dataclass(frozen=True)
-class StandardizedSample:
-    """Z-scored intensity triple (mean 0, sample std 1) with its range."""
-
-    x: np.ndarray
-    r: float
-
-
-def standardize(sample: Sample) -> StandardizedSample:
-    """Per-sample z-scoring; the sample std uses denominator n-1 = 2."""
-    values = np.array(sample.triple, dtype=float)
-    mu = values.mean()
-    sigma = values.std(ddof=1)
-    if sigma == 0.0:
-        raise DegenerateSampleError(f"triple {sample.triple} has zero spread")
-    return StandardizedSample((values - mu) / sigma, sample.r)
+        return data
+    t = data.triples
+    keys = (t[:, 0] * 256 + t[:, 1]) * 256 + t[:, 2]
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    mean0 = np.bincount(inverse, weights=data.r) / counts
+    deviation = np.full(counts.size, spec.deviation_m)
+    min_count = np.full(counts.size, spec.min_count)
+    if spec.far_cutoff_m is not None:
+        far = mean0 > spec.far_cutoff_m
+        deviation[far], min_count[far] = spec.far_deviation_m, spec.far_min_count
+    survives = np.abs(data.r - mean0[inverse]) <= deviation[inverse]
+    n_survivors = np.bincount(inverse[survives], minlength=counts.size)
+    kept = n_survivors >= min_count
+    if spec.collapse:
+        sums = np.bincount(inverse[survives], weights=data.r[survives], minlength=counts.size)
+        return RawDataset(t[first[kept]], sums[kept] / n_survivors[kept], data.source)
+    rows = np.flatnonzero(survives & kept[inverse])
+    return data.take(rows[np.lexsort((data.r[rows], inverse[rows]))])
 
 
 def standardize_batch(intensities):
@@ -239,20 +246,13 @@ def standardize_batch(intensities):
 
 def standardized_arrays(data: RawDataset):
     """Return (X standardized (n,3), r (n,)) training arrays."""
-    s, r = data.arrays()
-    return standardize_batch(s), r
+    return standardize_batch(data.triples), data.r
 
 
 def split(data: RawDataset, train_fraction: float, seed: int):
     """Seeded shuffle-and-split into (train, validation) datasets."""
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(data.samples))
+    perm = np.random.default_rng(seed).permutation(len(data))
     n_train = int(round(len(perm) * train_fraction))
-    train = [data.samples[i] for i in perm[:n_train]]
-    val = [data.samples[i] for i in perm[n_train:]]
-    return (
-        RawDataset(train, source=data.source),
-        RawDataset(val, source=data.source),
-    )
+    return data.take(perm[:n_train]), data.take(perm[n_train:])

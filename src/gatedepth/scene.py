@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gating import gated_response, rect_overlap
-from .pipeline import Sample
+from .gating import slice_overlap
+from .pipeline import RawDataset, Sample
 
 _NOISE_CHUNK = 4096
 
@@ -101,18 +101,6 @@ class SliceImageSet:
         return self.images[0].shape[1]
 
 
-def _overlap_at(cfg, r):
-    """Overlap (ns) of one slice at distances ``r``.
-
-    Rectangular shapes evaluate in closed form, other shapes through the
-    vectorized Gauss-Legendre kernel; either way each value depends on its
-    own distance only, never on the rest of the batch.
-    """
-    if cfg.is_rectangular:
-        return rect_overlap(cfg, r)
-    return gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r)
-
-
 def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
     """Pre-calibration intensities of every slice at distances ``r``.
 
@@ -123,7 +111,7 @@ def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
     if np.any(r <= 0):
         raise ValueError("distances must be positive")
     atten = np.exp(-2.0 * gamma_per_m * r) / (r * r)
-    cols = [cfg.pulses * _overlap_at(cfg, r) for cfg in slices]
+    cols = [cfg.pulses * slice_overlap(cfg, r) for cfg in slices]
     return np.stack(cols, axis=1) * (alpha * atten)[:, None]
 
 
@@ -223,15 +211,7 @@ def generate_dataset(n, r_distribution, alpha_distribution, slices, noise: Noise
             raise ValueError("explicit calib required for non-uniform range distributions")
         calib = calibration_for_peak(slices, r_distribution.lo, r_distribution.hi,
                                      target_peak_gray, gamma_per_m)
-    gray = simulate_batch(r, alpha, slices, gamma_per_m, calib, noise)
-    # Plain-Python column lists build Samples faster than numpy scalars do.
-    # Chunks keep those temporary lists small: whole-array lists raised the
-    # process's peak memory by several MiB.
-    samples = []
-    for start in range(0, n, _NOISE_CHUNK):
-        rows = slice(start, start + _NOISE_CHUNK)
-        samples += map(Sample, *gray[rows].T.tolist(), r[rows].tolist())
-    return samples
+    return RawDataset(simulate_batch(r, alpha, slices, gamma_per_m, calib, noise), r)
 
 
 def render_slices(depth, reflectance, slices, noise: NoiseModel, gamma_per_m=0.0, calib=1.0) -> SliceImageSet:

@@ -78,7 +78,7 @@ def trained_world():
         20_000, UniformRange(10.0, 100.0), UniformRange(0.05, 0.9),
         slices, NoiseModel(2.0, seed=404), calib=calib,
     )
-    usable = prefilter(RawDataset(train_samples))
+    usable = prefilter(train_samples)
     train_set, val_set = split(usable, 0.8, seed=7)
     model, history = train(
         standardized_arrays(train_set),
@@ -215,13 +215,9 @@ def test_criterion_8_invariance_suite(trained_world):
                 assert scaled == pytest.approx(reference, abs=1e-9)
 
     # (c) prefilter idempotence
-    rows = [tuple(int(v) for v in row) + (float(rr),) for row, rr in
-            zip(rng.integers(0, 256, (2000, 3)), rng.uniform(1.0, 150.0, 2000))]
-    from gatedepth.pipeline import Sample
-
-    data = RawDataset([Sample(*row) for row in rows])
+    data = RawDataset(rng.integers(0, 256, (2000, 3)), rng.uniform(1.0, 150.0, 2000))
     once = prefilter(data)
-    assert prefilter(once).samples == once.samples
+    assert prefilter(once) == once
 
     # (d) per-sample z-scores have zero mean and unit sample std
     triples = rng.integers(0, 256, (10_000, 3)).astype(float)

@@ -6,7 +6,7 @@ from gatedepth.config import RunConfig, config_hash, parse_config, serialize_con
 from gatedepth.errors import ConfigError
 from gatedepth.gating import standard_slices
 from gatedepth.network import NetworkArch, init_params, save_model
-from gatedepth.pipeline import RawDataset, Sample, load_samples, prefilter, save_samples
+from gatedepth.pipeline import load_samples, prefilter, save_samples
 from gatedepth.scene import NoiseModel, UniformRange, generate_dataset
 from gatedepth.seeding import derive_seed
 
@@ -107,7 +107,7 @@ class TestCli:
                      "--variant", "dataset4"]) == 0
         filtered = load_samples(out / "filtered.csv")
         expected = prefilter(load_samples(sample_csv))
-        assert filtered.samples == expected.samples
+        assert filtered == expected
         report = (out / "preprocess_report.txt").read_text()
         assert "removed_saturated" in report and "output_rows" in report
 
@@ -195,6 +195,16 @@ class TestCli:
         assert lines[0] == "r_hat,norm_s1,norm_s2,norm_s3,count"
         assert len(lines) > 1
 
+    def test_probe_without_valid_triples_is_a_computation_error(self, tmp_path, capsys, model_file):
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("probe.max_gray = 1\n")
+        out = tmp_path / "probe"
+        assert main(["--config", str(cfg), "--out", str(out), "probe",
+                     "--model", str(model_file)]) == 4
+        err = capsys.readouterr().err
+        assert "probe.max_gray" in err and "probe.contrast_floor" in err
+        assert not (out / "probe.csv").exists()
+
     def test_exit_codes(self, tmp_path, sample_csv):
         # I/O error: missing input file
         assert main(["--out", str(tmp_path), "preprocess", "--input",
@@ -205,9 +215,14 @@ class TestCli:
         assert main(["--config", str(bad_cfg), "--out", str(tmp_path), "sections"]) == 2
         # usage error: eval without any estimator selected
         assert main(["--out", str(tmp_path), "eval", "--input", str(sample_csv)]) == 2
-        # computation error: invalid training batch size
+        # usage error: invalid training batch size, caught when the config is parsed
+        bad_batch = tmp_path / "batch.cfg"
+        bad_batch.write_text("train.batch_size = 0\n")
+        assert main(["--config", str(bad_batch), "--out", str(tmp_path), "train",
+                     "--input", str(sample_csv)]) == 2
+        # computation error: a learning rate that makes training diverge
         comp_cfg = tmp_path / "comp.cfg"
-        comp_cfg.write_text("train.batch_size = 0\n")
+        comp_cfg.write_text("train.learning_rate = 1e300\n")
         assert main(["--config", str(comp_cfg), "--out", str(tmp_path), "train",
                      "--input", str(sample_csv)]) == 4
         # I/O error: malformed data file
@@ -224,6 +239,14 @@ class TestCli:
         "network.hidden = 20-0",
         "noise.sigma_gray = -1",
         "eval.bin_width_m = -1",
+        "train.batch_size = 0",
+        "train.max_epochs = 0",
+        "train.patience = 0",
+        "train.learning_rate = -0.1",
+        "train.learning_rate = inf",
+        "probe.max_gray = 0",
+        "probe.max_gray = 257",
+        "probe.contrast_floor = -1",
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, sample_csv, command, line):
         cfg = tmp_path / "bad.cfg"

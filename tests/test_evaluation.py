@@ -14,7 +14,7 @@ from gatedepth.evaluation import (
     render_depth_map,
 )
 from gatedepth.network import NetworkArch, init_params, predict_depth_batch
-from gatedepth.pipeline import CONTRAST_FLOOR, SATURATION_LIMIT, RawDataset, Sample, prefilter
+from gatedepth.pipeline import CONTRAST_FLOOR, SATURATION_LIMIT, RawDataset, prefilter
 from gatedepth.scene import NoiseModel, SliceImageSet, render_slices
 
 
@@ -193,7 +193,7 @@ class TestValidityScreen:
     @given(st.lists(_triple, min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_estimators_follow_the_prefilter(self, section_table, triples):
-        kept = np.array([len(prefilter(RawDataset([Sample(*t, 1.0)]))) == 1 for t in triples])
+        kept = np.array([len(prefilter(RawDataset([t], [1.0]))) == 1 for t in triples])
         values = np.array(triples, dtype=float)
         np.testing.assert_array_equal(np.isfinite(predict_depth_batch(self.MODEL, values)), kept)
         assert np.all(np.isnan(baseline_estimate_batch(values, section_table)[~kept]))

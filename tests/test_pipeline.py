@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from gatedepth.errors import DataFormatError, DegenerateSampleError
 from gatedepth.pipeline import (
+    CONTRAST_FLOOR,
+    SATURATION_LIMIT,
+    VARIANTS,
     RawDataset,
     Sample,
     build_dataset,
@@ -13,14 +16,16 @@ from gatedepth.pipeline import (
     prefilter_counts,
     save_samples,
     split,
-    standardize,
     standardize_batch,
+    standardized_arrays,
     variant,
 )
 
 
 def ds(rows):
-    return RawDataset([Sample(*row) for row in rows])
+    """A dataset from (s1, s2, s3, r) rows, each checked by the ``Sample`` rule."""
+    samples = [Sample(*row) for row in rows]
+    return RawDataset([s.triple for s in samples], [s.r for s in samples])
 
 
 class TestLoadSave:
@@ -29,7 +34,7 @@ class TestLoadSave:
         original = ds([(10, 100, 30, 12.5), (0, 50, 200, 80.0), (250, 6, 0, 33.25)])
         save_samples(original, path)
         loaded = load_samples(path)
-        assert loaded.samples == original.samples
+        assert loaded == original
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -41,6 +46,24 @@ class TestLoadSave:
         path = tmp_path / "bad.csv"
         path.write_text("s1,s2,s3,r\n10,20,30,5.0\n300,20,30,5.0\n")
         with pytest.raises(DataFormatError, match=":3"):
+            load_samples(path)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("10,256,30,5.0", "s2=256 outside the 8-bit range"),
+        ("-1,20,30,5.0", "s1=-1 outside the 8-bit range"),
+        ("10,20,99999999999999999999,5.0", "s3=99999999999999999999 outside the 8-bit range"),
+        ("10,20,30,nan", "range must be positive and finite, got nan"),
+        ("10,20,30,inf", "range must be positive and finite, got inf"),
+        ("10,20,30,0", "range must be positive and finite, got 0.0"),
+        ("10,20,30,-3.5", "range must be positive and finite, got -3.5"),
+    ])
+    @pytest.mark.parametrize("blank_before", [False, True])
+    def test_bad_value_names_its_line(self, tmp_path, bad_row, message, blank_before):
+        path = tmp_path / "bad.csv"
+        gap = "\n" if blank_before else ""
+        path.write_text(f"s1,s2,s3,r\n10,20,30,5.0\n{gap}{bad_row}\n40,50,60,7.0\n{bad_row}\n")
+        line = 4 if blank_before else 3
+        with pytest.raises(DataFormatError, match=f":{line}: {message}"):
             load_samples(path)
 
     def test_non_numeric_field_names_the_row(self, tmp_path):
@@ -96,54 +119,54 @@ class TestPrefilter:
         data = ds(rows)
         once = prefilter(data)
         twice = prefilter(once)
-        assert once.samples == twice.samples
+        assert once == twice
         # kept samples appear in their original order (subsequence check)
-        it = iter(data.samples)
-        assert all(any(s == t for t in it) for s in once.samples)
+        it = iter(data)
+        assert all(any(s == t for t in it) for s in once)
 
 
 class TestVariants:
     def triple_group(self, triple, ranges):
-        return [Sample(*triple, r) for r in ranges]
+        return [(*triple, r) for r in ranges]
 
     def test_dataset1_drops_outlier_and_collapses(self):
-        data = RawDataset(self.triple_group((10, 60, 7), [30.0, 30.4, 30.6, 32.0]))
+        data = ds(self.triple_group((10, 60, 7), [30.0, 30.4, 30.6, 32.0]))
         out = build_dataset(data, variant("dataset1"))
         # mean 30.75; only 32.0 deviates by more than 1 m; three survivors
         # remain, so one sample at the recomputed mean is emitted
         assert len(out) == 1
-        assert out.samples[0].triple == (10, 60, 7)
-        assert out.samples[0].r == pytest.approx(30.333333333333332)
+        assert next(iter(out)).triple == (10, 60, 7)
+        assert out.r[0] == pytest.approx(30.333333333333332)
 
     def test_deviation_cut_uses_the_initial_mean_once(self):
         # a far outlier drags the initial mean so every sample deviates by
         # more than 1 m and the whole group dies; no re-iteration happens
-        data = RawDataset(self.triple_group((10, 60, 7), [30.0, 30.4, 30.6, 45.0]))
+        data = ds(self.triple_group((10, 60, 7), [30.0, 30.4, 30.6, 45.0]))
         out = build_dataset(data, variant("dataset1"))
         assert len(out) == 0
 
     def test_boundary_deviation_kept(self):
-        data = RawDataset(self.triple_group((10, 60, 7), [29.0, 30.0, 31.0]))
+        data = ds(self.triple_group((10, 60, 7), [29.0, 30.0, 31.0]))
         out = build_dataset(data, variant("dataset1"))
         # deviations are exactly 1.0 m, which is not "more than 1 m"
         assert len(out) == 1
-        assert out.samples[0].r == pytest.approx(30.0)
+        assert out.r[0] == pytest.approx(30.0)
 
     def test_small_groups_dropped(self):
-        data = RawDataset(self.triple_group((10, 60, 7), [30.0, 30.4]))
+        data = ds(self.triple_group((10, 60, 7), [30.0, 30.4]))
         assert len(build_dataset(data, variant("dataset1"))) == 0
 
     def test_dataset2_keeps_survivors(self):
-        data = RawDataset(self.triple_group((10, 60, 7), [30.0, 30.4, 30.6, 32.0]))
+        data = ds(self.triple_group((10, 60, 7), [30.0, 30.4, 30.6, 32.0]))
         out = build_dataset(data, variant("dataset2"))
-        assert [s.r for s in out.samples] == [30.0, 30.4, 30.6]
+        assert out.r.tolist() == [30.0, 30.4, 30.6]
 
     def test_dataset3_softens_far_groups(self):
         far = self.triple_group((5, 20, 80), [65.0, 66.5])       # kept: 2 m rule, no minimum
         near = self.triple_group((10, 60, 7), [58.0, 59.5])      # dropped: fewer than 3
-        out = build_dataset(RawDataset(far + near), variant("dataset3"))
+        out = build_dataset(ds(far + near), variant("dataset3"))
         assert len(out) == 1
-        assert out.samples[0].r == pytest.approx(65.75)
+        assert out.r[0] == pytest.approx(65.75)
 
     def test_dataset3_matches_dataset1_below_cutoff(self):
         rng = np.random.default_rng(3)
@@ -152,25 +175,25 @@ class TestVariants:
             triple = (int(rng.integers(0, 200)), int(rng.integers(0, 200)), int(rng.integers(0, 200)))
             base = float(rng.uniform(5.0, 55.0))  # group means stay below 60 m
             for _ in range(int(rng.integers(1, 6))):
-                samples.append(Sample(*triple, base + float(rng.uniform(-1.5, 1.5))))
-        data = RawDataset(samples)
+                samples.append((*triple, base + float(rng.uniform(-1.5, 1.5))))
+        data = ds(samples)
         out1 = build_dataset(data, variant("dataset1"))
         out3 = build_dataset(data, variant("dataset3"))
-        assert out1.samples == out3.samples
+        assert out1 == out3
 
     def test_dataset4_is_verbatim(self):
         data = ds([(10, 60, 7, 30.0), (5, 20, 80, 65.0), (10, 60, 7, 31.0)])
         out = build_dataset(data, variant("dataset4"))
-        assert out.samples == data.samples
+        assert out == data
 
     def test_dataset1_emits_at_most_one_sample_per_triple(self):
         rng = np.random.default_rng(11)
         samples = []
         for _ in range(300):
             triple = (int(rng.integers(0, 30)), int(rng.integers(0, 30)), int(rng.integers(0, 30)))
-            samples.append(Sample(*triple, float(rng.uniform(10.0, 90.0))))
-        out = build_dataset(RawDataset(samples), variant("dataset1"))
-        triples = [s.triple for s in out.samples]
+            samples.append((*triple, float(rng.uniform(10.0, 90.0))))
+        out = build_dataset(ds(samples), variant("dataset1"))
+        triples = [s.triple for s in out]
         assert len(triples) == len(set(triples))
 
     def test_unknown_variant(self):
@@ -180,13 +203,13 @@ class TestVariants:
 
 class TestStandardize:
     def test_symmetric_triple(self):
-        out = standardize(Sample(10, 20, 30, 5.0))
-        np.testing.assert_allclose(out.x, [-1.0, 0.0, 1.0], atol=1e-12)
-        assert out.r == 5.0
+        x, r = standardized_arrays(ds([(10, 20, 30, 5.0)]))
+        np.testing.assert_allclose(x[0], [-1.0, 0.0, 1.0], atol=1e-12)
+        assert r[0] == 5.0
 
     def test_zero_spread_rejected(self):
         with pytest.raises(DegenerateSampleError):
-            standardize(Sample(10, 10, 10, 5.0))
+            standardized_arrays(ds([(10, 10, 10, 5.0)]))
         with pytest.raises(DegenerateSampleError):
             standardize_batch(np.array([[10.0, 10.0, 10.0]]))
 
@@ -195,9 +218,9 @@ class TestStandardize:
     def test_zero_mean_unit_std(self, triple):
         if max(triple) == min(triple):
             return
-        out = standardize(Sample(*triple, 5.0))
-        assert abs(out.x.mean()) < 1e-9
-        assert abs(out.x.std(ddof=1) - 1.0) < 1e-9
+        x = standardize_batch(np.array([triple]))[0]
+        assert abs(x.mean()) < 1e-9
+        assert abs(x.std(ddof=1) - 1.0) < 1e-9
 
     @given(
         st.tuples(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100)),
@@ -223,12 +246,94 @@ class TestSplit:
         data = ds([(10, 100, 30, float(i + 1)) for i in range(37)])
         a_train, a_val = split(data, 0.6, seed=12)
         b_train, b_val = split(data, 0.6, seed=12)
-        assert a_train.samples == b_train.samples and a_val.samples == b_val.samples
-        merged = sorted(a_train.samples + a_val.samples, key=lambda s: s.r)
-        assert merged == sorted(data.samples, key=lambda s: s.r)
+        assert a_train == b_train and a_val == b_val
+        merged = sorted([*a_train, *a_val], key=lambda s: s.r)
+        assert merged == sorted(data, key=lambda s: s.r)
 
     def test_bad_fraction(self):
         data = ds([(10, 100, 30, 1.0)])
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 split(data, bad, seed=0)
+
+
+# The list-based rules the columnar data path replaced, kept as the reference.
+# Rows are (s1, s2, s3, r) tuples.
+
+
+def reference_prefilter(rows):
+    return [row for row in rows
+            if max(row[:3]) <= SATURATION_LIMIT and max(row[:3]) - min(row[:3]) >= CONTRAST_FLOOR]
+
+
+def reference_build(rows, spec):
+    if spec.passthrough:
+        return list(rows)
+    groups = {}
+    for *triple, r in rows:
+        groups.setdefault(tuple(triple), []).append(r)
+    out = []
+    for triple in sorted(groups):
+        ranges = groups[triple]
+        mean0 = sum(ranges) / len(ranges)
+        if spec.far_cutoff_m is not None and mean0 > spec.far_cutoff_m:
+            deviation, min_count = spec.far_deviation_m, spec.far_min_count
+        else:
+            deviation, min_count = spec.deviation_m, spec.min_count
+        survivors = [r for r in ranges if abs(r - mean0) <= deviation]
+        if len(survivors) < min_count:
+            continue
+        if spec.collapse:
+            out.append((*triple, sum(survivors) / len(survivors)))
+        else:
+            out.extend((*triple, r) for r in sorted(survivors))
+    return out
+
+
+def reference_split(rows, train_fraction, seed):
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    n_train = int(round(len(perm) * train_fraction))
+    return [rows[i] for i in perm[:n_train]], [rows[i] for i in perm[n_train:]]
+
+
+def as_rows(data):
+    return [(s.s1, s.s2, s.s3, s.r) for s in data]
+
+
+_gray = st.integers(0, 255)
+
+
+@st.composite
+def triple_groups(draw, mean):
+    """1-6 ranges scattered up to 2.5 m around a drawn group centre."""
+    centre = draw(mean)
+    offsets = draw(st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=6))
+    return [centre + d for d in offsets]
+
+
+@st.composite
+def grouped_rows(draw):
+    """Rows in shuffled file order whose groups of repeated triples have 1-6
+    members, with group means below and above dataset3's 60 m far cutoff."""
+    centres = [st.floats(20.0, 57.5), st.floats(62.5, 100.0)]
+    centres += draw(st.lists(st.sampled_from([st.floats(20.0, 100.0), st.floats(57.5, 62.5)]),
+                             max_size=8))
+    triples = draw(st.lists(st.tuples(_gray, _gray, _gray), min_size=len(centres),
+                            max_size=len(centres), unique=True))
+    rows = [(*t, r) for t, centre in zip(triples, centres) for r in draw(triple_groups(centre))]
+    return draw(st.permutations(rows))
+
+
+class TestColumnarRulesMatchTheListRules:
+    @given(grouped_rows(), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_prefilter_variants_and_split(self, rows, fraction, seed):
+        pre_rows = reference_prefilter(rows)
+        pre = prefilter(ds(rows))
+        assert as_rows(pre) == pre_rows
+        for spec in VARIANTS.values():
+            out_rows = reference_build(pre_rows, spec)
+            out = build_dataset(pre, spec)
+            assert as_rows(out) == out_rows
+            train, val = split(out, fraction, seed)
+            assert (as_rows(train), as_rows(val)) == reference_split(out_rows, fraction, seed)
