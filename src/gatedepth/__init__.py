@@ -45,12 +45,9 @@ from .scene import (
     simulate_triple,
 )
 from .estimators import (
-    DelaySample,
     SectionTable,
     baseline_estimate,
     build_section_table,
-    correlation_trapez,
-    correlation_triangle,
     time_slicing_estimate,
 )
 from .network import (

@@ -150,6 +150,9 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
     result = grid_search(datasets, grid, max_epochs=cfg.max_epochs, patience=cfg.patience,
                          seed=cfg.stage_seed("gridsearch"), threads=args.threads)
     result.write_csv(out / "grid_results.csv")
+    if np.isinf(result.ranking[0][1]):  # the best mean is finite unless every run diverged
+        raise GatedDepthError(f"every one of the {len(grid)} grid configurations diverged "
+                              f"(runs listed in {out / 'grid_results.csv'})")
     best = result.best
     best_arch = "-".join(str(w) for w in best.hidden)
     (out / "grid_best.txt").write_text(

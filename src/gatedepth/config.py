@@ -94,6 +94,8 @@ def _checked(parse, ok, requirement):
     return parse_checked
 
 
+_finite_non_negative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+
 # key -> (parse, get, set); fixed order defines the canonical serialization
 _SCHEMA = {}
 
@@ -117,8 +119,7 @@ for i in range(3):
             lambda cfg, v, i=i, attr=attr: _slice_set(cfg, i, attr, v),
         )
 _simple("atmosphere.gamma_per_m", "gamma_per_m", float)
-_simple("noise.sigma_gray", "noise_sigma_gray",
-        _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0"))
+_simple("noise.sigma_gray", "noise_sigma_gray", _finite_non_negative)
 _simple("dataset.variant", "variant",
         _checked(str, lambda v: v in VARIANTS, f"one of {sorted(VARIANTS)}"))
 _register("network.hidden", str,
@@ -139,8 +140,8 @@ _simple("sim.alpha_max", "sim_alpha_max", float)
 _simple("sim.target_peak_gray", "target_peak_gray", float)
 _simple("eval.bin_width_m", "eval_bin_width_m",
         _checked(float, lambda v: 0 < v < math.inf, "finite and > 0"))
-_simple("baseline.dark_floor", "baseline_dark_floor", float)
-_simple("baseline.tolerance_m", "baseline_tolerance_m", float)
+_simple("baseline.dark_floor", "baseline_dark_floor", _finite_non_negative)
+_simple("baseline.tolerance_m", "baseline_tolerance_m", _finite_non_negative)
 _simple("probe.max_gray", "probe_max_gray", _checked(int, lambda v: 1 <= v <= 256, "in 1..256"))
 _simple("probe.contrast_floor", "probe_contrast_floor", _checked(int, lambda v: v >= 0, ">= 0"))
 
@@ -169,8 +170,8 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot open config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base)
 
 

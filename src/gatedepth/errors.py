@@ -25,10 +25,6 @@ class DegenerateSampleError(GatedDepthError):
     """Sample has zero spread and cannot be standardized."""
 
 
-class EstimatorError(GatedDepthError):
-    """A closed-form estimator could not be evaluated (zero denominator etc.)."""
-
-
 class TrainingDivergedError(GatedDepthError):
     """Training produced non-finite losses or activations."""
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EstimatorError, NoSignalError, UnsupportedShapeError
+from .errors import NoSignalError, UnsupportedShapeError
 from .gating import SPEED_OF_LIGHT_M_PER_NS as _C0
 from .gating import SliceConfig, rip_breakpoints
 from .pipeline import screen_triples
@@ -28,75 +27,24 @@ PLATEAU = "plateau"
 FALLING = "falling"
 
 
-class DelaySample(NamedTuple):
-    """One gate-delay measurement.
+def time_slicing_estimate(profile, pulse_width_ns) -> float:
+    """Weighted-average depth from a delay-axis profile such as ``gdp`` returns.
 
-    ``delay_ns`` is the time from the pulse onset to the gate opening; under
-    this package's trailing-edge delay convention that is the configured
-    slice delay plus the pulse width.
+    Under this package's trailing-edge delay convention the time from the
+    pulse onset to the gate opening is the profile's delay plus the pulse
+    width. The average two-way travel time is sum(I*t)/sum(I); depth is
+    c0*t/2. Exact for symmetric profiles, i.e. matching pulse and gate widths.
     """
-
-    delay_ns: float
-    intensity: float
-
-
-def gdp_delay_samples(profile, pulse_width_ns):
-    """Convert a delay-axis profile into DelaySamples for time slicing."""
     if profile.axis != "delay_ns":
         raise ValueError("time slicing needs a delay-axis profile")
-    return [
-        DelaySample(float(d) + float(pulse_width_ns), float(v))
-        for d, v in zip(profile.coordinates, profile.intensities)
-    ]
-
-
-def time_slicing_estimate(samples) -> float:
-    """Weighted-average depth from a sampled gate-delay profile.
-
-    The average two-way travel time is sum(I*t)/sum(I); depth is c0*t/2.
-    Exact for symmetric profiles, i.e. matching pulse and gate widths.
-    """
-    total = 0.0
-    weighted = 0.0
-    for s in samples:
-        if s.intensity < 0 or not math.isfinite(s.intensity):
-            raise ValueError(f"intensity must be finite and >= 0, got {s.intensity!r}")
-        total += s.intensity
-        weighted += s.intensity * s.delay_ns
+    weights = profile.intensities
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValueError("intensities must be finite and >= 0")
+    total = weights.sum()
     if total <= 0.0:
         raise NoSignalError("all delay samples have zero intensity")
-    return 0.5 * _C0 * (weighted / total)
-
-
-def correlation_trapez(ramp_intensity, plateau_intensity, delay_ns, pulse_ns) -> float:
-    """Ratio inversion for a plateau/rising-ramp slice pair.
-
-    Applies to two equal-width pulses where the second slice is delayed by
-    one pulse width and the gates last two pulse widths: across
-    [c0/2*(t0+tl), c0/2*(t0+2*tl)] the first slice holds its plateau while
-    the second ramps up, and depth is linear in their intensity ratio.
-    """
-    if plateau_intensity <= 0:
-        raise EstimatorError("plateau intensity must be positive (no overlap signal)")
-    if ramp_intensity < 0:
-        raise EstimatorError("ramp intensity must be >= 0")
-    ratio = ramp_intensity / plateau_intensity
-    return 0.5 * _C0 * (delay_ns + pulse_ns + ratio * pulse_ns)
-
-
-def correlation_triangle(rising_intensity, falling_intensity, delay_ns, pulse_ns) -> float:
-    """Ratio inversion for two triangular slices crossing over.
-
-    Where the later slice ramps up while the earlier one ramps down their sum
-    is constant, and depth is linear in rising/(rising + falling).
-    """
-    total = rising_intensity + falling_intensity
-    if total <= 0:
-        raise EstimatorError("slice pair carries no signal")
-    if rising_intensity < 0 or falling_intensity < 0:
-        raise EstimatorError("intensities must be >= 0")
-    ratio = rising_intensity / total
-    return 0.5 * _C0 * (delay_ns + pulse_ns + ratio * pulse_ns)
+    weighted = (weights * (profile.coordinates + float(pulse_width_ns))).sum()
+    return float(0.5 * _C0 * (weighted / total))
 
 
 def _overlap_line(cfg: SliceConfig, behavior):
@@ -136,17 +84,20 @@ class PairEstimator:
     def label(self):
         return f"s{self.index_a + 1}.{self.behavior_a}/s{self.index_b + 1}.{self.behavior_b}"
 
-    def estimate(self, intensity_a, intensity_b) -> float:
-        if intensity_b <= 0:
-            raise EstimatorError(f"{self.label}: denominator slice has no signal")
-        if intensity_a < 0:
-            raise EstimatorError(f"{self.label}: negative intensity")
-        ratio = (intensity_a / self.pulses_a) / (intensity_b / self.pulses_b)
-        denom = ratio * self.slope_b - self.slope_a
-        if abs(denom) < 1e-12:
-            raise EstimatorError(f"{self.label}: degenerate ratio, depth indeterminate")
-        tau = (self.intercept_a - ratio * self.intercept_b) / denom
-        return 0.5 * _C0 * tau
+    def estimate(self, intensity_a, intensity_b):
+        """Depth (m) per element of the two intensity columns.
+
+        NaN where the ratio does not fix the depth: the denominator slice
+        has no signal, the numerator is negative, or the ratio makes the
+        inversion degenerate.
+        """
+        a = np.asarray(intensity_a, dtype=float)
+        b = np.asarray(intensity_b, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = (a / self.pulses_a) / (b / self.pulses_b)
+            denom = ratio * self.slope_b - self.slope_a
+            tau = (self.intercept_a - ratio * self.intercept_b) / denom
+        return np.where((b > 0) & (a >= 0) & (np.abs(denom) >= 1e-12), 0.5 * _C0 * tau, np.nan)
 
 
 @dataclass(frozen=True)
@@ -161,9 +112,6 @@ class Section:
     @property
     def lit(self):
         return frozenset(i for i, b in enumerate(self.behaviors) if b != DARK)
-
-    def contains(self, r, tolerance=0.0):
-        return self.r_lo - tolerance <= r <= self.r_hi + tolerance
 
 
 @dataclass(frozen=True)
@@ -266,43 +214,42 @@ def build_section_table(slices) -> SectionTable:
     return SectionTable(tuple(sections), slices)
 
 
-def baseline_estimate(triple, table: SectionTable, dark_floor=6.0, tolerance_m=1.0):
-    """Sectioned ratio-correlation depth estimate, or None when undecidable.
+def baseline_estimate(triples, table: SectionTable, dark_floor=6.0, tolerance_m=1.0):
+    """Sectioned ratio-correlation depth estimates over an ``(n, k)`` block.
 
     Slices below ``dark_floor`` count as unlit. Candidate sections are those
     whose lit slices cover the observed ones; each applicable estimator is
     evaluated and kept only when its estimate is self-consistent (falls back
-    inside the section, within ``tolerance_m``). The result is the mean of
-    the surviving estimates -- the absolute dark threshold means rescaling
+    inside the section, within ``tolerance_m``). A row's result is the mean
+    of its surviving estimates, summed in section/estimator order, and NaN
+    when none survives -- the absolute dark threshold means rescaling
     intensities is only guaranteed to be neutral while it flips no slice
-    between lit and dark.
+    between lit and dark. A single 1-D triple returns a float, or None when
+    undecidable.
     """
-    values = np.asarray(triple, dtype=float)
-    if values.shape != (len(table.slices),):
-        raise ValueError(f"expected {len(table.slices)} intensities, got {values.shape}")
+    values = np.asarray(triples, dtype=float)
+    k = len(table.slices)
+    if values.ndim not in (1, 2) or values.shape[-1] != k:
+        raise ValueError(f"expected {k} intensities per row, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("intensities must be finite")
 
-    lit = frozenset(int(i) for i in np.flatnonzero(values >= dark_floor))
-    if len(lit) < min(2, len(table.slices)):
-        return None
-
-    estimates = []
+    block = values.reshape(-1, k)
+    lit = block >= dark_floor
+    total = np.zeros(block.shape[0])
+    count = np.zeros(block.shape[0], dtype=int)
     for sec in table.sections:
-        if not lit <= sec.lit:
-            continue
+        candidate = np.all(lit <= (np.array(sec.behaviors) != DARK), axis=1)
         for est in sec.estimators:
-            if est.index_a not in lit or est.index_b not in lit:
-                continue
-            try:
-                r_hat = est.estimate(values[est.index_a], values[est.index_b])
-            except EstimatorError:
-                continue
-            if math.isfinite(r_hat) and sec.contains(r_hat, tolerance_m):
-                estimates.append(r_hat)
-    if not estimates:
-        return None
-    return sum(estimates) / len(estimates)
+            r_hat = est.estimate(block[:, est.index_a], block[:, est.index_b])
+            keep = (candidate & lit[:, est.index_a] & lit[:, est.index_b] & np.isfinite(r_hat)
+                    & (sec.r_lo - tolerance_m <= r_hat) & (r_hat <= sec.r_hi + tolerance_m))
+            np.add(total, r_hat, out=total, where=keep)
+            count += keep
+    out = np.divide(total, count, out=np.full(block.shape[0], np.nan), where=count > 0)
+    if values.ndim == 1:
+        return None if count[0] == 0 else float(out[0])
+    return out
 
 
 def baseline_estimate_batch(triples, table: SectionTable, dark_floor=6.0, tolerance_m=1.0):
@@ -314,8 +261,6 @@ def baseline_estimate_batch(triples, table: SectionTable, dark_floor=6.0, tolera
     """
     triples = np.asarray(triples, dtype=float).reshape(-1, len(table.slices))
     out = np.full(triples.shape[0], np.nan)
-    for i in np.flatnonzero(screen_triples(triples)[2]):
-        est = baseline_estimate(triples[i], table, dark_floor, tolerance_m)
-        if est is not None:
-            out[i] = est
+    usable = screen_triples(triples)[2]
+    out[usable] = baseline_estimate(triples[usable], table, dark_floor, tolerance_m)
     return out

@@ -240,39 +240,42 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
     stale = 0
     history = []
 
-    for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(x_train.shape[0])
-        batch_losses = []
-        for start in range(0, order.size, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            xb, yb = x_train[sel], y_train[sel]
-            cache = []
-            pred = _forward(model, xb, cache)
-            if not np.all(np.isfinite(pred)):
-                raise TrainingDivergedError(f"non-finite forward pass at epoch {epoch}", epoch=epoch)
-            batch_losses.append(float(np.mean(np.abs(pred - yb))))
-            grads_w, grads_b = _backprop(model.weights, cache, pred, yb, act_grad)
-            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                w -= cfg.learning_rate * gw
-                b -= cfg.learning_rate * gb
+    # A diverging run overflows before the isfinite checks below catch it;
+    # numpy's warnings would only repeat what TrainingDivergedError reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = shuffle_rng.permutation(x_train.shape[0])
+            batch_losses = []
+            for start in range(0, order.size, cfg.batch_size):
+                sel = order[start : start + cfg.batch_size]
+                xb, yb = x_train[sel], y_train[sel]
+                cache = []
+                pred = _forward(model, xb, cache)
+                if not np.all(np.isfinite(pred)):
+                    raise TrainingDivergedError(f"non-finite forward pass at epoch {epoch}", epoch=epoch)
+                batch_losses.append(float(np.mean(np.abs(pred - yb))))
+                grads_w, grads_b = _backprop(model.weights, cache, pred, yb, act_grad)
+                for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+                    w -= cfg.learning_rate * gw
+                    b -= cfg.learning_rate * gb
 
-        train_mae = float(np.mean(batch_losses))
-        val_pred = _forward(model, x_val)
-        if not np.all(np.isfinite(val_pred)):
-            raise TrainingDivergedError(f"non-finite validation pass at epoch {epoch}", epoch=epoch)
-        val_mae = float(np.mean(np.abs(val_pred - y_val)))
-        if not math.isfinite(train_mae) or not math.isfinite(val_mae):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-        history.append(EpochStats(epoch, train_mae, val_mae))
+            train_mae = float(np.mean(batch_losses))
+            val_pred = _forward(model, x_val)
+            if not np.all(np.isfinite(val_pred)):
+                raise TrainingDivergedError(f"non-finite validation pass at epoch {epoch}", epoch=epoch)
+            val_mae = float(np.mean(np.abs(val_pred - y_val)))
+            if not math.isfinite(train_mae) or not math.isfinite(val_mae):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
+            history.append(EpochStats(epoch, train_mae, val_mae))
 
-        if val_mae < best_val:
-            best_val = val_mae
-            best_w, best_b = model.copy_params()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+            if val_mae < best_val:
+                best_val = val_mae
+                best_w, best_b = model.copy_params()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
 
     result = NetworkModel(arch, best_w, best_b, seed=cfg.seed,
                           epochs_run=len(history), val_mae=best_val)
@@ -519,8 +522,8 @@ def load_model(path) -> NetworkModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise DataFormatError(f"cannot open model file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read model file {path}: {exc}") from exc
     try:
         magic, version = lines[0].split()
         if magic != MODEL_FORMAT or int(version) != MODEL_VERSION:

@@ -114,31 +114,34 @@ def load_samples(path) -> RawDataset:
     triples, ranges = array("q"), array("d")
     blanks = []  # data-row count at each blank line, to map rows back to lines
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        if tuple(h.strip() for h in header) != SAMPLE_HEADER:
-            raise DataFormatError(
-                f"{path}:1: expected header {','.join(SAMPLE_HEADER)}, got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                blanks.append(len(ranges))
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            reader = csv.reader(fh)
             try:
-                s1, s2, s3 = (int(v) for v in row[:3])
-                r = float(row[3])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            try:
-                triples.extend((s1, s2, s3))
-            except OverflowError:  # beyond int64, so certainly outside 0..255
-                _check_row(path, lineno, (s1, s2, s3, r))
-            ranges.append(r)
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: file is empty") from None
+            if tuple(h.strip() for h in header) != SAMPLE_HEADER:
+                raise DataFormatError(
+                    f"{path}:1: expected header {','.join(SAMPLE_HEADER)}, got {','.join(header)}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    blanks.append(len(ranges))
+                    continue
+                if len(row) != 4:
+                    raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    s1, s2, s3 = (int(v) for v in row[:3])
+                    r = float(row[3])
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
+                try:
+                    triples.extend((s1, s2, s3))
+                except OverflowError:  # beyond int64, so certainly outside 0..255
+                    _check_row(path, lineno, (s1, s2, s3, r))
+                ranges.append(r)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     if not ranges:
         raise DataFormatError(f"{path}: no data rows")
     data = RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges), str(path))

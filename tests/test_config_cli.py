@@ -247,6 +247,11 @@ class TestCli:
         "probe.max_gray = 0",
         "probe.max_gray = 257",
         "probe.contrast_floor = -1",
+        "baseline.dark_floor = nan",
+        "baseline.dark_floor = inf",
+        "baseline.dark_floor = -1",
+        "baseline.tolerance_m = nan",
+        "baseline.tolerance_m = -5",
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, sample_csv, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -254,6 +259,28 @@ class TestCli:
         args = [] if command == "sections" else ["--input", str(sample_csv)]
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command, *args]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, code", [("--config", 2), ("--input", 3), ("--model", 3)])
+    def test_invalid_utf8_names_the_file(self, tmp_path, capsys, sample_csv, model_file, option,
+                                         code):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"s1,s2,s3,r\n\xff,1,2,3\n")
+        files = {"--input": sample_csv, "--model": model_file, option: bad}
+        config = ["--config", str(bad)] if option == "--config" else []
+        assert main([*config, "--out", str(tmp_path / "o"), "predict",
+                     "--model", str(files["--model"]), "--input", str(files["--input"])]) == code
+        assert str(bad) in capsys.readouterr().err
+
+    def test_gridsearch_where_every_run_diverges_is_a_computation_error(self, tmp_path, capsys,
+                                                                         sample_csv):
+        out = tmp_path / "grid"
+        assert main(["--out", str(out), "gridsearch", "--input", str(sample_csv),
+                     "--learning-rates", "1e300", "--batch-sizes", "16",
+                     "--architectures", "40"]) == 4
+        assert "every one of the 1 grid configurations diverged" in capsys.readouterr().err
+        rows = (out / "grid_results.csv").read_text().splitlines()
+        assert len(rows) == 2 and ",nan," in rows[1]
+        assert not (out / "grid_best.txt").exists()
 
     def test_unknown_gridsearch_variant_is_a_usage_error(self, tmp_path, capsys, sample_csv):
         assert main(["--out", str(tmp_path), "gridsearch", "--input", str(sample_csv),
