@@ -34,15 +34,12 @@ from .pipeline import (
     variant,
 )
 from .scene import (
-    EmpiricalHistogram,
     NoiseModel,
-    ScenePoint,
     SliceImageSet,
     UniformRange,
     calibration_for_peak,
     generate_dataset,
     render_slices,
-    simulate_triple,
 )
 from .estimators import (
     SectionTable,
@@ -61,7 +58,6 @@ from .network import (
     init_params,
     load_model,
     loss_mae,
-    predict_depth,
     probe_learned_function,
     save_model,
     train,

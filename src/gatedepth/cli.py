@@ -21,15 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, load_config
+from .config import (RunConfig, _activation, _finite_non_negative, _finite_positive,
+                     _hidden_layout, _positive_int, config_hash, load_config)
 from .errors import ConfigError, DataFormatError, GatedDepthError
 from .estimators import build_section_table
 from .evaluation import (baseline_estimator, compare_estimators, network_estimator,
                          render_depth_map)
 from .gating import Atmosphere, rip, slice_support
 from .network import (GridSpec, NetworkArch, TrainConfig, grid_search, load_model,
-                      parse_hidden, predict_depth_batch, probe_learned_function,
-                      save_model, train)
+                      predict_depth_batch, probe_learned_function, save_model, train)
 from .pgmio import read_pgm
 from .pipeline import (VARIANTS, build_dataset, load_samples, prefilter, prefilter_counts,
                        save_samples, split, standardized_arrays, variant)
@@ -128,12 +128,7 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
     if args.full_grid:
         grid = GridSpec.default_grid()
     else:
-        grid = GridSpec(
-            learning_rates=tuple(float(v) for v in args.learning_rates.split(",")),
-            batch_sizes=tuple(int(v) for v in args.batch_sizes.split(",")),
-            hidden_layouts=tuple(parse_hidden(v) for v in args.architectures.split(",")),
-            activations=tuple(v.strip() for v in args.activations.split(",")),
-        )
+        grid = GridSpec(args.learning_rates, args.batch_sizes, args.architectures, args.activations)
     tags = args.variants.split(",") if args.variants else [cfg.variant]
     try:
         specs = [variant(tag.strip()) for tag in tags]
@@ -148,7 +143,7 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
         tr, va = split(filtered, cfg.train_fraction, cfg.stage_seed(f"split.{tag}"))
         datasets.append((spec.tag, standardized_arrays(tr), standardized_arrays(va)))
     result = grid_search(datasets, grid, max_epochs=cfg.max_epochs, patience=cfg.patience,
-                         seed=cfg.stage_seed("gridsearch"), threads=args.threads)
+                         seed=cfg.stage_seed("gridsearch"))
     result.write_csv(out / "grid_results.csv")
     if np.isinf(result.ranking[0][1]):  # the best mean is finite unless every run diverged
         raise GatedDepthError(f"every one of the {len(grid)} grid configurations diverged "
@@ -178,9 +173,11 @@ def _cmd_predict(cfg: RunConfig, args, out: Path):
 
 def _load_slice_images(paths):
     images = tuple(read_pgm(p) for p in paths)
-    for img in images:
-        if img.dtype != np.uint8:
-            raise DataFormatError("slice images must be 8-bit PGM")
+    if any(img.dtype != np.uint8 for img in images):
+        raise DataFormatError("slice images must be 8-bit PGM")
+    if len({img.shape for img in images}) != 1:
+        sizes = ", ".join(f"{p} is {img.shape[1]}x{img.shape[0]}" for p, img in zip(paths, images))
+        raise DataFormatError(f"slice images must share dimensions: {sizes}")
     return SliceImageSet(images)
 
 
@@ -229,6 +226,17 @@ def _cmd_probe(cfg: RunConfig, args, out: Path):
     print(f"evaluated {table.total_triples} valid triples into {table.bin_centers.size} bins")
 
 
+def _arg(parse, many=False):
+    """argparse ``type=`` applying ``parse`` (to each item of a comma list when
+    ``many``); its ValueError becomes the usage message."""
+    def convert(text):
+        try:
+            return tuple(parse(v.strip()) for v in text.split(",")) if many else parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gatedepth",
@@ -243,7 +251,8 @@ def build_parser():
     sub.add_parser("sections", help="dump the baseline section table as CSV")
 
     p = sub.add_parser("rip", help="export per-slice range intensity profiles")
-    p.add_argument("--r-step", type=float, default=0.25, help="distance grid step in metres")
+    p.add_argument("--r-step", type=_arg(_finite_positive), default=0.25,
+                   help="distance grid step in metres")
     p.add_argument("--irradiance", action="store_true", help="include the alpha*beta/r^2 factor")
 
     sub.add_parser("simulate", help="generate a labeled synthetic dataset CSV")
@@ -259,11 +268,12 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--variants", help="comma list of dataset variants (default: config variant)")
     p.add_argument("--full-grid", action="store_true", help="use the stock 720-point grid")
-    p.add_argument("--learning-rates", default="0.1,0.01,0.001")
-    p.add_argument("--batch-sizes", default="16,64")
-    p.add_argument("--architectures", default="40,20-10")
-    p.add_argument("--activations", default="relu")
-    p.add_argument("--threads", type=int, default=1, help="worker cap; never changes outputs")
+    p.add_argument("--learning-rates", type=_arg(_finite_non_negative, many=True),
+                   default="0.1,0.01,0.001")
+    p.add_argument("--batch-sizes", type=_arg(_positive_int, many=True), default="16,64")
+    p.add_argument("--architectures", type=_arg(_hidden_layout, many=True), default="40,20-10")
+    p.add_argument("--activations", type=_arg(_activation, many=True), default="relu")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
 
     p = sub.add_parser("predict", help="per-sample depth predictions from a model")
     p.add_argument("--model", required=True)

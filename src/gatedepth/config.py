@@ -75,8 +75,8 @@ def _slice_set(cfg: RunConfig, index: int, attr: str, value: float):
     cfg.slices = tuple(slices)
 
 
-def _hidden_set(cfg: RunConfig, value: str):
-    cfg.hidden = NetworkArch(parse_hidden(value)).hidden
+def _hidden_layout(text):
+    return NetworkArch(parse_hidden(text)).hidden
 
 
 def _train_set(cfg: RunConfig, attr: str, value):
@@ -95,6 +95,10 @@ def _checked(parse, ok, requirement):
 
 
 _finite_non_negative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_unit_interval = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_activation = _checked(str, lambda v: v.lower() in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}")
 
 # key -> (parse, get, set); fixed order defines the canonical serialization
 _SCHEMA = {}
@@ -118,28 +122,26 @@ for i in range(3):
             lambda cfg, i=i, attr=attr: _slice_get(cfg, i, attr),
             lambda cfg, v, i=i, attr=attr: _slice_set(cfg, i, attr, v),
         )
-_simple("atmosphere.gamma_per_m", "gamma_per_m", float)
+_simple("atmosphere.gamma_per_m", "gamma_per_m", _finite_non_negative)
 _simple("noise.sigma_gray", "noise_sigma_gray", _finite_non_negative)
 _simple("dataset.variant", "variant",
         _checked(str, lambda v: v in VARIANTS, f"one of {sorted(VARIANTS)}"))
-_register("network.hidden", str,
+_register("network.hidden", _hidden_layout,
           lambda cfg: "-".join(str(w) for w in cfg.hidden),
-          lambda cfg, v: _hidden_set(cfg, v))
-_simple("network.activation", "activation",
-        _checked(str, lambda v: v.lower() in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}"))
+          lambda cfg, v: setattr(cfg, "hidden", v))
+_simple("network.activation", "activation", _activation)
 for attr, parse in (("learning_rate", float), ("batch_size", int), ("max_epochs", int), ("patience", int)):
     _register(f"train.{attr}", parse, lambda cfg, attr=attr: getattr(cfg, attr),
               lambda cfg, v, attr=attr: _train_set(cfg, attr, v))
 _simple("train.fraction", "train_fraction",
         _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
-_simple("sim.samples", "sim_samples", int)
-_simple("sim.r_min_m", "sim_r_min_m", float)
-_simple("sim.r_max_m", "sim_r_max_m", float)
-_simple("sim.alpha_min", "sim_alpha_min", float)
-_simple("sim.alpha_max", "sim_alpha_max", float)
-_simple("sim.target_peak_gray", "target_peak_gray", float)
-_simple("eval.bin_width_m", "eval_bin_width_m",
-        _checked(float, lambda v: 0 < v < math.inf, "finite and > 0"))
+_simple("sim.samples", "sim_samples", _positive_int)
+_simple("sim.r_min_m", "sim_r_min_m", _finite_positive)
+_simple("sim.r_max_m", "sim_r_max_m", _finite_positive)
+_simple("sim.alpha_min", "sim_alpha_min", _unit_interval)
+_simple("sim.alpha_max", "sim_alpha_max", _unit_interval)
+_simple("sim.target_peak_gray", "target_peak_gray", _finite_positive)
+_simple("eval.bin_width_m", "eval_bin_width_m", _finite_positive)
 _simple("baseline.dark_floor", "baseline_dark_floor", _finite_non_negative)
 _simple("baseline.tolerance_m", "baseline_tolerance_m", _finite_non_negative)
 _simple("probe.max_gray", "probe_max_gray", _checked(int, lambda v: 1 <= v <= 256, "in 1..256"))
@@ -163,6 +165,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             set_(cfg, parse(value))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+    for lo, hi in (("r_min_m", "r_max_m"), ("alpha_min", "alpha_max")):
+        low, high = getattr(cfg, f"sim_{lo}"), getattr(cfg, f"sim_{hi}")
+        if not low < high:
+            raise ConfigError(f"sim.{lo} = {low!r} must be below sim.{hi} = {high!r}")
     return cfg
 
 

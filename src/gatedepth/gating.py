@@ -29,9 +29,6 @@ from .errors import UnsupportedShapeError
 #: Speed of light in metres per nanosecond (exact).
 SPEED_OF_LIGHT_M_PER_NS = 0.299792458
 
-PULSE_KINDS = ("rectangular", "triangular", "trapezoidal", "gaussian")
-GATE_KINDS = ("rectangular", "triangular", "trapezoidal")
-
 
 def _check_finite(name, value):
     """``value`` as a float (scalar input) or float array; raises on NaN/inf."""
@@ -42,52 +39,16 @@ def _check_finite(name, value):
     return value if value.ndim else float(value)
 
 
-def _check_profile(name, kinds, kind, w, rise, fall):
-    """Validation shared by pulse and gate shapes."""
-    if kind not in kinds:
-        raise ValueError(f"unknown {name} kind {kind!r}")
-    if not (math.isfinite(w) and w > 0):
-        raise ValueError(f"{name} width must be positive and finite")
-    if kind == "trapezoidal":
-        if rise < 0 or fall < 0:
-            raise ValueError("rise/fall times must be >= 0")
-        if rise + fall > w:
-            raise ValueError(f"rise + fall must not exceed the {name} width")
-
-
-def _unit_profile(t, kind, w, rise, fall):
-    """Unit-peak rectangular, triangular or trapezoidal profile on [0, w]."""
-    t = np.asarray(t, dtype=float)
-    inside = (t >= 0.0) & (t <= w)
-    if kind == "rectangular":
-        out = inside.astype(float)
-    elif kind == "triangular":
-        out = np.where(inside, 1.0 - np.abs(2.0 * t / w - 1.0), 0.0)
-    else:
-        out = np.where(inside, 1.0, 0.0)
-        if rise > 0:
-            out = np.where(inside & (t < rise), t / rise, out)
-        if fall > 0:
-            out = np.where(inside & (t > w - fall), (w - t) / fall, out)
-    return out if out.ndim else float(out)
-
-
-def _unit_knots(kind, w, rise, fall):
-    """Breakpoints of ``_unit_profile`` on [0, w]."""
-    if kind == "rectangular":
-        return (0.0, w)
-    if kind == "triangular":
-        return (0.0, 0.5 * w, w)
-    return (0.0, rise, w - fall, w)
-
-
 @dataclass(frozen=True)
 class PulseShape:
-    """Emitted laser pulse: unit peak power on a finite support [0, width_ns].
+    """Unit-peak profile on a finite support [0, width_ns]: the emitted laser
+    pulse's power, and (as ``GateShape``) the sensor gate's gain.
 
-    ``rise_ns``/``fall_ns`` apply to trapezoidal pulses, ``sigma_ns`` to
+    ``rise_ns``/``fall_ns`` apply to trapezoidal shapes, ``sigma_ns`` to
     (truncated) gaussian pulses.
     """
+
+    KINDS = ("rectangular", "triangular", "trapezoidal", "gaussian")
 
     width_ns: float
     kind: str = "rectangular"
@@ -96,21 +57,39 @@ class PulseShape:
     sigma_ns: float | None = None
 
     def __post_init__(self):
-        _check_profile("pulse", PULSE_KINDS, self.kind, self.width_ns, self.rise_ns, self.fall_ns)
+        name, w = type(self).__name__, self.width_ns
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown {name} kind {self.kind!r}")
+        if not (math.isfinite(w) and w > 0):
+            raise ValueError(f"{name} width must be positive and finite")
+        if self.kind == "trapezoidal":
+            if self.rise_ns < 0 or self.fall_ns < 0:
+                raise ValueError("rise/fall times must be >= 0")
+            if self.rise_ns + self.fall_ns > w:
+                raise ValueError(f"rise + fall must not exceed the {name} width")
         if self.kind == "gaussian" and self.sigma_ns is None:
-            object.__setattr__(self, "sigma_ns", self.width_ns / 6.0)
+            object.__setattr__(self, "sigma_ns", w / 6.0)
         if self.sigma_ns is not None and self.sigma_ns <= 0:
             raise ValueError("gaussian sigma must be positive")
 
-    def power(self, t):
-        """Instantaneous power at time ``t`` (ns from pulse onset)."""
-        if self.kind != "gaussian":
-            return _unit_profile(t, self.kind, self.width_ns, self.rise_ns, self.fall_ns)
+    def value(self, t):
+        """Power (pulse) or gain (gate) at time ``t``, in ns from the pulse
+        onset or the gate opening."""
         t = np.asarray(t, dtype=float)
         w = self.width_ns
         inside = (t >= 0.0) & (t <= w)
-        # truncated to the finite support
-        out = np.where(inside, np.exp(-0.5 * ((t - 0.5 * w) / self.sigma_ns) ** 2), 0.0)
+        if self.kind == "rectangular":
+            out = inside.astype(float)
+        elif self.kind == "triangular":
+            out = np.where(inside, 1.0 - np.abs(2.0 * t / w - 1.0), 0.0)
+        elif self.kind == "gaussian":  # truncated to the finite support
+            out = np.where(inside, np.exp(-0.5 * ((t - 0.5 * w) / self.sigma_ns) ** 2), 0.0)
+        else:  # ramps divide only where they apply, so a tiny edge cannot overflow
+            out = np.array(inside, dtype=float)
+            if self.rise_ns > 0:
+                np.divide(t, self.rise_ns, out=out, where=inside & (t < self.rise_ns))
+            if self.fall_ns > 0:
+                np.divide(w - t, self.fall_ns, out=out, where=inside & (t > w - self.fall_ns))
         return out if out.ndim else float(out)
 
     def knots(self):
@@ -120,31 +99,21 @@ class PulseShape:
         centre, so the fixed-order rule stays accurate for narrow pulses.
         """
         w = self.width_ns
-        if self.kind != "gaussian":
-            return _unit_knots(self.kind, w, self.rise_ns, self.fall_ns)
+        if self.kind == "rectangular":
+            return (0.0, w)
+        if self.kind == "triangular":
+            return (0.0, 0.5 * w, w)
+        if self.kind == "trapezoidal":
+            return (0.0, self.rise_ns, w - self.fall_ns, w)
         mid = 0.5 * w
         steps = [k * self.sigma_ns for k in (8, 4, 2, 1) if k * self.sigma_ns < mid]
         return (0.0, *(mid - d for d in steps), mid, *(mid + d for d in reversed(steps)), w)
 
 
-@dataclass(frozen=True)
-class GateShape:
-    """Sensor gate gain: unit peak on a finite support [0, width_ns]."""
+class GateShape(PulseShape):
+    """Sensor gate gain: the pulse profile without the gaussian kind."""
 
-    width_ns: float
-    kind: str = "rectangular"
-    rise_ns: float = 0.0
-    fall_ns: float = 0.0
-
-    def __post_init__(self):
-        _check_profile("gate", GATE_KINDS, self.kind, self.width_ns, self.rise_ns, self.fall_ns)
-
-    def gain(self, t):
-        """Gate gain at time ``t`` (ns from gate opening)."""
-        return _unit_profile(t, self.kind, self.width_ns, self.rise_ns, self.fall_ns)
-
-    def knots(self):
-        return _unit_knots(self.kind, self.width_ns, self.rise_ns, self.fall_ns)
+    KINDS = ("rectangular", "triangular", "trapezoidal")
 
 
 @dataclass(frozen=True)
@@ -208,12 +177,6 @@ class Atmosphere:
             raise ValueError("reflectance alpha must lie in [0, 1]")
         if not (math.isfinite(self.gamma_per_m) and self.gamma_per_m >= 0.0):
             raise ValueError("extinction gamma must be >= 0")
-
-    def attenuation(self, r):
-        """Two-way path transmission exp(-2*gamma*r)."""
-        r = np.asarray(r, dtype=float)
-        out = np.exp(-2.0 * self.gamma_per_m * r)
-        return out if out.ndim else float(out)
 
     def kappa(self, r):
         """Full distance factor alpha * beta(r) / r^2. Requires r > 0."""
@@ -285,7 +248,7 @@ def _overlap_rows(pulse, gate, gate_open, tau):
     total = np.zeros(tau.shape)
     for x, w in zip(nodes, weights):
         t = mid + half * x
-        f = gate.gain(t - gate_open[:, None]) * pulse.power(t - tau[:, None])
+        f = gate.value(t - gate_open[:, None]) * pulse.value(t - tau[:, None])
         total += w * (half * f).sum(axis=1)
     return total
 

@@ -86,10 +86,6 @@ class NetworkArch:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    @property
-    def notation(self):
-        return "-".join(str(w) for w in self.hidden) if self.hidden else "linear"
-
 
 @dataclass
 class NetworkModel:
@@ -361,45 +357,31 @@ class GridSearchResult:
                          f"{row.dataset},{mae},{row.epochs}\n")
 
 
-def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0, threads=1):
+def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0):
     """Train every grid point on every dataset and rank by mean val MAE.
 
     ``datasets`` is a sequence of ``(tag, (x_train, y_train), (x_val, y_val))``
     entries. Rankings use the mean validation MAE across datasets so a single
     configuration is chosen for all of them; diverged runs are recorded as
     NaN and excluded from the mean but flagged in the ranking. Per-run seeds
-    derive from (seed, config index), so results do not depend on execution
-    order and the optional thread pool changes nothing but wall time.
+    derive from (seed, config index), so results do not depend on run order.
     """
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
     points = grid.enumerate()
-
-    def run_one(task):
-        idx, point, tag, train_set, val_set = task
+    rows = []
+    for idx, point in enumerate(points):
         cfg = TrainConfig(point.learning_rate, point.batch_size, max_epochs, patience,
                           seed=derive_seed(seed, "grid", idx))
         arch = NetworkArch(point.hidden, point.activation)
-        try:
-            model, history = train(train_set, val_set, arch, cfg)
-            return GridRow(idx, point, tag, model.val_mae, model.epochs_run)
-        except TrainingDivergedError as exc:
-            epoch = exc.epoch if exc.epoch is not None else -1
-            return GridRow(idx, point, tag, math.nan, epoch)
-
-    tasks = [
-        (idx, point, tag, train_set, val_set)
-        for idx, point in enumerate(points)
-        for tag, train_set, val_set in datasets
-    ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, tasks))
-    else:
-        rows = [run_one(t) for t in tasks]
+        for tag, train_set, val_set in datasets:
+            try:
+                model, _ = train(train_set, val_set, arch, cfg)
+                rows.append(GridRow(idx, point, tag, model.val_mae, model.epochs_run))
+            except TrainingDivergedError as exc:
+                epoch = exc.epoch if exc.epoch is not None else -1
+                rows.append(GridRow(idx, point, tag, math.nan, epoch))
     rows.sort(key=lambda row: (row.config_index, row.dataset))
 
     ranking = []
@@ -410,11 +392,6 @@ def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0, t
         ranking.append((idx, mean, len(finite) < len(vals)))
     ranking.sort(key=lambda item: (item[1], item[0]))
     return GridSearchResult(rows, ranking, points)
-
-
-def predict_depth(model: NetworkModel, triple):
-    """Range for one raw triple; NaN when saturated or low-contrast."""
-    return float(predict_depth_batch(model, np.asarray(triple, dtype=float).reshape(1, 3))[0])
 
 
 def predict_depth_batch(model: NetworkModel, triples):
@@ -557,6 +534,8 @@ def load_model(path) -> NetworkModel:
                              epochs_run=int(fields["epochs"]), val_mae=float(fields["val_mae"]))
     except DataFormatError:
         raise
-    except (IndexError, ValueError) as exc:
+    except IndexError:
+        raise DataFormatError(f"{path}: model file ends early, after line {len(lines)}") from None
+    except ValueError as exc:
         raise DataFormatError(f"{path}: malformed model file ({exc})") from exc
     return model

@@ -16,23 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gating import slice_overlap
-from .pipeline import RawDataset, Sample
+from .pipeline import RawDataset
 
 _NOISE_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ScenePoint:
-    """A target at distance ``r`` metres with reflectance ``alpha``."""
-
-    r: float
-    alpha: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError("scene point distance must be positive")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("reflectance must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -102,14 +88,17 @@ class SliceImageSet:
 
 
 def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
-    """Pre-calibration intensities of every slice at distances ``r``.
+    """Pre-calibration intensities of every slice at distances ``r`` and
+    reflectances ``alpha``; every simulation path applies its input checks here.
 
     Returns an (n, k) array for k slices.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), r.shape)
-    if np.any(r <= 0):
-        raise ValueError("distances must be positive")
+    if not np.all(np.isfinite(r) & (r > 0)):
+        raise ValueError("distances must be positive and finite")
+    if not np.all((alpha >= 0) & (alpha <= 1)):
+        raise ValueError("reflectance must lie in [0, 1]")
     atten = np.exp(-2.0 * gamma_per_m * r) / (r * r)
     cols = [cfg.pulses * slice_overlap(cfg, r) for cfg in slices]
     return np.stack(cols, axis=1) * (alpha * atten)[:, None]
@@ -139,14 +128,6 @@ def simulate_batch(r, alpha, slices, gamma_per_m, calib, noise: NoiseModel, star
     return np.clip(np.rint(gray), 0, 255).astype(np.int64)
 
 
-def simulate_triple(point: ScenePoint, slices, gamma_per_m, calib, noise: NoiseModel, sample_index=0) -> Sample:
-    """Simulate one labeled sample; ground truth is copied through."""
-    s = simulate_batch(
-        np.array([point.r]), np.array([point.alpha]), slices, gamma_per_m, calib, noise, sample_index
-    )[0]
-    return Sample(int(s[0]), int(s[1]), int(s[2]), point.r)
-
-
 @dataclass(frozen=True)
 class UniformRange:
     """Uniform distribution on [lo, hi]."""
@@ -160,30 +141,6 @@ class UniformRange:
 
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, n)
-
-
-@dataclass(frozen=True)
-class EmpiricalHistogram:
-    """Piecewise-uniform distribution defined by bin edges and counts."""
-
-    bin_edges: tuple
-    counts: tuple
-
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        if edges.size != counts.size + 1:
-            raise ValueError("need len(bin_edges) == len(counts) + 1")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if np.any(counts < 0) or counts.sum() <= 0:
-            raise ValueError("counts must be >= 0 with a positive total")
-
-    def sample(self, rng, n):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        bins = rng.choice(counts.size, size=n, p=counts / counts.sum())
-        return rng.uniform(edges[bins], edges[bins + 1])
 
 
 def generate_dataset(n, r_distribution, alpha_distribution, slices, noise: NoiseModel,
@@ -204,8 +161,6 @@ def generate_dataset(n, r_distribution, alpha_distribution, slices, noise: Noise
         alpha = np.full(n, float(alpha_distribution))
     else:
         alpha = np.asarray(alpha_distribution.sample(rng, n), dtype=float)
-    if np.any((alpha < 0) | (alpha > 1)):
-        raise ValueError("reflectance distribution left [0, 1]")
     if calib is None:
         if not isinstance(r_distribution, UniformRange):
             raise ValueError("explicit calib required for non-uniform range distributions")

@@ -47,6 +47,17 @@ class TestConfig:
         cfg = parse_config("# comment\n\nseed = 4  # trailing\n")
         assert cfg.seed == 4
 
+    @pytest.mark.parametrize("text, keys", [
+        ("sim.r_min_m = 100\n", ("sim.r_min_m", "sim.r_max_m")),
+        ("sim.r_max_m = 5\n", ("sim.r_min_m", "sim.r_max_m")),
+        ("sim.alpha_min = 0.5\nsim.alpha_max = 0.5\n", ("sim.alpha_min", "sim.alpha_max")),
+    ])
+    def test_sim_ranges_must_be_ordered(self, text, keys):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert all(key in str(info.value) for key in keys)
+        parse_config("sim.r_min_m = 120\nsim.r_max_m = 150\n")  # the order of the lines does not matter
+
     def test_hash_tracks_content(self):
         assert config_hash(parse_config("seed = 1")) != config_hash(parse_config("seed = 2"))
 
@@ -252,6 +263,17 @@ class TestCli:
         "baseline.dark_floor = -1",
         "baseline.tolerance_m = nan",
         "baseline.tolerance_m = -5",
+        "atmosphere.gamma_per_m = -1",
+        "atmosphere.gamma_per_m = nan",
+        "sim.samples = 0",
+        "sim.alpha_max = 2",
+        "sim.alpha_min = -0.1",
+        "sim.alpha_min = 0.9",
+        "sim.r_min_m = 150",
+        "sim.r_min_m = 0",
+        "sim.r_max_m = inf",
+        "sim.target_peak_gray = nan",
+        "sim.target_peak_gray = 0",
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, sample_csv, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -281,6 +303,67 @@ class TestCli:
         rows = (out / "grid_results.csv").read_text().splitlines()
         assert len(rows) == 2 and ",nan," in rows[1]
         assert not (out / "grid_best.txt").exists()
+
+    def test_gridsearch_threads_flag_changes_nothing(self, tmp_path, sample_csv):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("train.max_epochs = 2\ntrain.patience = 2\n")
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["--config", str(cfg), "--out", str(out), "gridsearch",
+                         "--input", str(sample_csv), "--variants", "dataset4,dataset3",
+                         "--learning-rates", "0.01,0.005", "--batch-sizes", "16,32",
+                         "--architectures", "6", "--threads", threads]) == 0
+            outputs.append((out / "grid_results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 1 + 4 * 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rip", "--r-step", "0"], "--r-step"),
+        (["rip", "--r-step", "-1"], "--r-step"),
+        (["rip", "--r-step", "nan"], "--r-step"),
+        (["rip", "--r-step", "inf"], "--r-step"),
+        (["gridsearch", "--learning-rates", "abc"], "--learning-rates"),
+        (["gridsearch", "--learning-rates", "0.1,-1"], "--learning-rates"),
+        (["gridsearch", "--learning-rates", "nan"], "--learning-rates"),
+        (["gridsearch", "--batch-sizes", "0"], "--batch-sizes"),
+        (["gridsearch", "--batch-sizes", "16,x"], "--batch-sizes"),
+        (["gridsearch", "--architectures", "0"], "--architectures"),
+        (["gridsearch", "--architectures", "40,20-x"], "--architectures"),
+        (["gridsearch", "--activations", "swish"], "--activations"),
+        (["gridsearch", "--activations", "relu,"], "--activations"),
+    ])
+    def test_bad_flag_value_is_a_usage_error_before_any_data_is_read(self, tmp_path, capsys, argv,
+                                                                     flag):
+        if argv[0] == "gridsearch":
+            argv = [*argv, "--input", str(tmp_path / "missing.csv")]  # reading it would exit 3
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(tmp_path / "o"), *argv])
+        assert info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated"])
+    def test_malformed_file_is_an_io_error_naming_it(self, tmp_path, capsys, model_file, case):
+        from gatedepth.pgmio import write_pgm
+
+        paths = [tmp_path / f"s{i}.pgm" for i in (1, 2, 3)]
+        for i, path in enumerate(paths):
+            write_pgm(path, np.full((4, 5 if i == 1 and case == "pgm_sizes_differ" else 4), 50,
+                                    dtype=np.uint8))
+        slices = ["--slice1", str(paths[0]), "--slice2", str(paths[1]), "--slice3", str(paths[2])]
+        model = []
+        if case == "model_truncated":
+            lines = model_file.read_text().splitlines(keepends=True)
+            model_file.write_text("".join(lines[:9]))
+            model = ["--model", str(model_file)]
+        assert main(["--out", str(tmp_path / "o"), "depthmap", *model, *slices]) == 3
+        err = capsys.readouterr().err
+        if case == "pgm_sizes_differ":
+            assert "share dimensions" in err and all(str(p) in err for p in paths)
+            assert "s2.pgm is 5x4" in err
+        else:
+            assert f"{model_file}: model file ends early, after line 9" in err
 
     def test_unknown_gridsearch_variant_is_a_usage_error(self, tmp_path, capsys, sample_csv):
         assert main(["--out", str(tmp_path), "gridsearch", "--input", str(sample_csv),

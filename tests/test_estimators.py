@@ -19,7 +19,7 @@ from gatedepth.estimators import (
 from gatedepth.gating import SPEED_OF_LIGHT_M_PER_NS as C0
 from gatedepth.gating import GateShape, PulseShape, RangeProfile, SliceConfig, gdp, standard_slices
 from gatedepth.pipeline import screen_triples
-from gatedepth.scene import NoiseModel, ScenePoint, UniformRange, generate_dataset, simulate_triple
+from gatedepth.scene import NoiseModel, UniformRange, generate_dataset, simulate_batch
 
 
 def delay_profile(delays, intensities):
@@ -110,9 +110,7 @@ class TestCorrelationClosedForms:
         late = SliceConfig.rectangular(1, tl, 2 * tl, t0 + tl)
         r = 40.0
         calib = 2.0 * r * r  # puts the plateau level at 200 gray
-        noise = NoiseModel(0.0, 0)
-        plateau = simulate_triple(ScenePoint(r, 1.0), [early, early, early], 0.0, calib, noise).s1
-        ramp = simulate_triple(ScenePoint(r, 1.0), [late, late, late], 0.0, calib, noise).s1
+        plateau, ramp, _ = simulate_batch([r], [1.0], [early, late, late], 0.0, calib, NoiseModel(0.0, 0))[0]
         assert trapez_estimator().estimate(plateau, ramp) == pytest.approx(r, abs=0.1)
 
     def test_triangle_balanced_ratio(self):
@@ -129,9 +127,8 @@ class TestCorrelationClosedForms:
         late = SliceConfig.rectangular(1, tl, tl, t0 + tl)
         r = 30.0
         calib = 2.0 * r * r
-        noise = NoiseModel(0.0, 0)
-        falling = simulate_triple(ScenePoint(r, 1.0), [early] * 3, 0.0, calib, noise).s1
-        rising = simulate_triple(ScenePoint(r, 1.0), [late] * 3, 0.0, calib, noise).s1
+        falling, rising, _ = simulate_batch([r], [1.0], [early, late, late], 0.0, calib,
+                                            NoiseModel(0.0, 0))[0]
         assert triangle_estimator(t0).estimate(falling, rising) == pytest.approx(r, abs=0.1)
 
     def test_negative_numerator_rejected(self):
@@ -218,8 +215,7 @@ class TestSectionTable:
 
 class TestBaseline:
     def simulate(self, slices, r, calib=3.4916233, alpha=1.0):
-        s = simulate_triple(ScenePoint(r, alpha), slices, 0.0, calib, NoiseModel(0.0, 0))
-        return np.array([s.s1, s.s2, s.s3], dtype=float)
+        return simulate_batch([r], [alpha], slices, 0.0, calib, NoiseModel(0.0, 0))[0].astype(float)
 
     def test_single_lit_slice_gives_none(self, section_table):
         assert baseline_estimate((0.0, 0.0, 120.0), section_table) is None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedepth.errors import UnsupportedShapeError
 from gatedepth.gating import (
@@ -47,7 +49,7 @@ class TestShapes:
     )
     def test_pulse_nonnegative_with_finite_support(self, shape):
         t = np.linspace(-50.0, 150.0, 2001)
-        p = shape.power(t)
+        p = shape.value(t)
         assert np.all(p >= 0.0)
         assert np.all(p[(t < 0) | (t > shape.width_ns)] == 0.0)
         assert p.max() <= 1.0 + 1e-12
@@ -55,9 +57,73 @@ class TestShapes:
     def test_gate_nonnegative_with_finite_support(self):
         gate = GateShape(200.0, kind="triangular")
         t = np.linspace(-50.0, 300.0, 2001)
-        g = gate.gain(t)
+        g = gate.value(t)
         assert np.all(g >= 0.0)
         assert np.all(g[(t < 0) | (t > 200.0)] == 0.0)
+
+
+def reference_profile(t, kind, w, rise, fall, sigma):
+    """The per-kind profile formulas of the former separate pulse and gate classes."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= 0.0) & (t <= w)
+    if kind == "gaussian":
+        return np.where(inside, np.exp(-0.5 * ((t - 0.5 * w) / sigma) ** 2), 0.0)
+    if kind == "rectangular":
+        return inside.astype(float)
+    if kind == "triangular":
+        return np.where(inside, 1.0 - np.abs(2.0 * t / w - 1.0), 0.0)
+    out = np.where(inside, 1.0, 0.0)
+    with np.errstate(over="ignore"):  # a subnormal edge overflows in entries np.where drops
+        if rise > 0:
+            out = np.where(inside & (t < rise), t / rise, out)
+        if fall > 0:
+            out = np.where(inside & (t > w - fall), (w - t) / fall, out)
+    return out
+
+
+def reference_knots(kind, w, rise, fall, sigma):
+    """The per-kind knot formulas of the former separate pulse and gate classes."""
+    if kind == "rectangular":
+        return (0.0, w)
+    if kind == "triangular":
+        return (0.0, 0.5 * w, w)
+    if kind == "trapezoidal":
+        return (0.0, rise, w - fall, w)
+    mid = 0.5 * w
+    steps = [k * sigma for k in (8, 4, 2, 1) if k * sigma < mid]
+    return (0.0, *(mid - d for d in steps), mid, *(mid + d for d in reversed(steps)), w)
+
+
+class TestOneShapeClass:
+    PULSE_KINDS = ("rectangular", "triangular", "trapezoidal", "gaussian")
+    GATE_KINDS = ("rectangular", "triangular", "trapezoidal")
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_knots_match_the_per_kind_formulas(self, data):
+        cls = data.draw(st.sampled_from([PulseShape, GateShape]), label="class")
+        kinds = self.PULSE_KINDS if cls is PulseShape else self.GATE_KINDS
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        w = data.draw(st.floats(0.01, 1000.0), label="width")
+        edge = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5))
+        rise, fall = (data.draw(edge) * w, data.draw(edge) * w) if kind == "trapezoidal" else (0.0, 0.0)
+        sigma = data.draw(st.one_of(st.none(), st.floats(0.001, 1000.0)), label="sigma")
+        if cls is GateShape:
+            sigma = None
+            with pytest.raises(ValueError):
+                GateShape(w, "gaussian")
+        shape = cls(w, kind, rise, fall, sigma)
+        if kind == "gaussian" and sigma is None:
+            sigma = w / 6.0
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        knots = np.array(reference_knots(kind, w, rise, fall, sigma))
+        t = np.concatenate([rng.uniform(-0.5 * w, 1.5 * w, 64), knots,
+                            np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        got, want = shape.value(t), reference_profile(t, kind, w, rise, fall, sigma)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        scalar = shape.value(float(t[0]))
+        assert type(scalar) is float and scalar == want[0]
+        assert shape.knots() == reference_knots(kind, w, rise, fall, sigma)
 
 
 class TestGatedResponse:
@@ -159,7 +225,7 @@ class TestGatedResponse:
                 panels = np.linspace(a, b, 17)
                 half = 0.5 * np.diff(panels)[:, None]
                 t = 0.5 * (panels[1:] + panels[:-1])[:, None] + half * nodes
-                expected += np.sum(half * weights * gate.gain(t - gate_open) * pulse.power(t - tau))
+                expected += np.sum(half * weights * gate.value(t - gate_open) * pulse.value(t - tau))
             got = gated_response(pulse, gate, delay, r)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -370,4 +436,4 @@ def test_atmosphere_validation_and_clear_air():
         Atmosphere(gamma_per_m=-0.1)
     clear = Atmosphere(alpha=1.0, gamma_per_m=0.0)
     r = np.linspace(1.0, 200.0, 17)
-    np.testing.assert_array_equal(clear.attenuation(r), np.ones_like(r))
+    np.testing.assert_array_equal(clear.kappa(r), 1.0 / (r * r))

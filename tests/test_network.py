@@ -15,7 +15,6 @@ from gatedepth.network import (
     init_params,
     load_model,
     loss_mae,
-    predict_depth,
     predict_depth_batch,
     probe_learned_function,
     save_model,
@@ -307,33 +306,32 @@ class TestGrid:
             train(train_xy, val_xy, NetworkArch((6,), "relu"), cfg)
         assert row.epochs == info.value.epoch >= 0
 
-    def test_thread_pool_does_not_change_results(self):
-        train_xy, val_xy = tiny_problem(n=256)
-        grid = GridSpec((0.01, 0.005), (16, 32), ((6,),), ("relu",))
-        serial = grid_search([("d", train_xy, val_xy)], grid, max_epochs=3, patience=3, seed=8)
-        threaded = grid_search([("d", train_xy, val_xy)], grid, max_epochs=3, patience=3, seed=8,
-                               threads=4)
-        assert serial.rows == threaded.rows
+
+def predict_one(model, triple):
+    """``predict_depth_batch`` on a one-row array."""
+    out = predict_depth_batch(model, np.array([triple], dtype=float))
+    assert out.shape == (1,)
+    return float(out[0])
 
 
 class TestPredict:
     def test_prefilter_predicates_apply(self):
         model = init_params(NetworkArch((4,), "relu"), seed=0)
-        assert math.isnan(predict_depth(model, (251, 10, 10)))
-        assert math.isnan(predict_depth(model, (100, 102, 103)))
-        assert math.isfinite(predict_depth(model, (10, 100, 30)))
+        assert math.isnan(predict_one(model, (251, 10, 10)))
+        assert math.isnan(predict_one(model, (100, 102, 103)))
+        assert math.isfinite(predict_one(model, (10, 100, 30)))
 
     def test_affine_invariance(self):
         model = init_params(NetworkArch((8,), "relu"), seed=1)
-        base = predict_depth(model, (20, 60, 100))
-        moved = predict_depth(model, (2 * 20 + 5, 2 * 60 + 5, 2 * 100 + 5))
+        base = predict_one(model, (20, 60, 100))
+        moved = predict_one(model, (2 * 20 + 5, 2 * 60 + 5, 2 * 100 + 5))
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_batch_matches_scalar(self):
         model = init_params(NetworkArch((8,), "relu"), seed=1)
         triples = np.array([[20, 80, 140], [251, 0, 0], [7, 7, 7]], dtype=float)
         batch = predict_depth_batch(model, triples)
-        assert batch[0] == pytest.approx(predict_depth(model, triples[0]))
+        assert batch[0] == pytest.approx(predict_one(model, triples[0]))
         assert np.isnan(batch[1]) and np.isnan(batch[2])
 
 

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 
 from gatedepth.gating import Atmosphere, GateShape, PulseShape, SliceConfig, slice_support
 from gatedepth.scene import (
-    EmpiricalHistogram,
     NoiseModel,
-    ScenePoint,
     UniformRange,
     calibration_for_peak,
     generate_dataset,
     render_slices,
     simulate_batch,
-    simulate_triple,
     slice_values,
 )
 
@@ -47,26 +44,31 @@ class TestNoiseModel:
             NoiseModel(-1.0)
 
 
+def simulate_one(r, alpha, slices, calib):
+    """One noiseless row of ``simulate_batch``."""
+    return tuple(simulate_batch(np.array([r]), np.array([alpha]), slices, 0.0, calib,
+                                NoiseModel(0.0, 0))[0].tolist())
+
+
 class TestSimulateTriple:
     def test_black_target_returns_zeros(self, slices):
-        s = simulate_triple(ScenePoint(40.0, 0.0), slices, 0.0, 5.0, NoiseModel(0.0, 0))
-        assert (s.s1, s.s2, s.s3) == (0, 0, 0)
-        assert s.r == 40.0
+        assert simulate_one(40.0, 0.0, slices, 5.0) == (0, 0, 0)
+        data = generate_dataset(1, UniformRange(39.0, 41.0), 0.0, slices, NoiseModel(0.0, 0), calib=5.0)
+        assert data.triples.tolist() == [[0, 0, 0]] and 39.0 <= data.r[0] <= 41.0
 
     def test_far_target_hits_only_the_long_slice(self, slices):
         calib = calibration_for_peak(slices, 10.0, 150.0, target_peak_gray=200.0)
-        s = simulate_triple(ScenePoint(130.0, 1.0), slices, 0.0, calib, NoiseModel(0.0, 0))
-        assert s.s1 == 0 and s.s2 == 0
-        assert s.s3 > 0
+        s1, s2, s3 = simulate_one(130.0, 1.0, slices, calib)
+        assert s1 == 0 and s2 == 0
+        assert s3 > 0
 
     def test_matches_scalar_oracle(self, slices):
         # calibration chosen so the brightest slice at this distance reads 200
         r, alpha = 65.0, 1.0
         values = [scalar_intensity_oracle(cfg, r, alpha) for cfg in slices]
         calib = 200.0 / max(values)
-        s = simulate_triple(ScenePoint(r, alpha), slices, 0.0, calib, NoiseModel(0.0, 0))
         expected = tuple(int(np.clip(np.rint(calib * v), 0, 255)) for v in values)
-        assert (s.s1, s.s2, s.s3) == expected
+        assert simulate_one(r, alpha, slices, calib) == expected
         assert max(expected) == 200
 
     def test_quantization_bounds(self, slices):
@@ -121,13 +123,24 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             UniformRange(5.0, 5.0)
         with pytest.raises(ValueError):
-            EmpiricalHistogram((0.0, 1.0), (1.0, 2.0))
+            UniformRange(5.0, 1.0)
+        with pytest.raises(ValueError):
+            UniformRange(0.0, float("inf"))
 
-    def test_histogram_distribution_sampling(self, slices):
-        dist = EmpiricalHistogram((20.0, 30.0, 80.0), (1.0, 0.0))
-        samples = generate_dataset(500, dist, 0.5, slices, NoiseModel(0.0, seed=2), calib=10.0)
-        r = np.array([s.r for s in samples])
-        assert r.min() >= 20.0 and r.max() <= 30.0
+    def test_other_distributions_need_an_explicit_calibration(self, slices):
+        class Fixed:
+            def sample(self, rng, n):
+                return np.linspace(20.0, 30.0, n)
+
+        with pytest.raises(ValueError, match="explicit calib"):
+            generate_dataset(50, Fixed(), 0.5, slices, NoiseModel(0.0, seed=2))
+        samples = generate_dataset(50, Fixed(), 0.5, slices, NoiseModel(0.0, seed=2), calib=10.0)
+        np.testing.assert_array_equal(samples.r, np.linspace(20.0, 30.0, 50))
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), UniformRange(0.5, 1.5)])
+    def test_reflectance_outside_the_unit_interval_rejected(self, slices, alpha):
+        with pytest.raises(ValueError, match="reflectance"):
+            generate_dataset(50, UniformRange(10.0, 100.0), alpha, slices, NoiseModel(0.0, 1))
 
     def test_nonpositive_distances_rejected(self, slices):
         with pytest.raises(ValueError, match="non-positive"):
@@ -193,6 +206,14 @@ class TestRenderSlices:
         for img in images.images:
             assert np.all(img[0, :] == 0)
 
+    def test_lit_pixel_reflectance_outside_the_unit_interval_rejected(self, slices):
+        depth = np.array([[40.0, np.nan]])
+        sky_reflectance_unused = render_slices(depth, np.array([[0.5, 7.0]]), slices,
+                                               NoiseModel(0.0, 0), calib=3.0)
+        assert not any(img[0, 1] for img in sky_reflectance_unused.images)
+        with pytest.raises(ValueError, match="reflectance"):
+            render_slices(depth, np.array([[1.5, 0.5]]), slices, NoiseModel(0.0, 0), calib=3.0)
+
     def test_dimension_mismatch_rejected(self, slices):
         with pytest.raises(ValueError):
             render_slices(np.ones((4, 4)), np.ones((4, 5)), slices, NoiseModel(0.0, 0))
@@ -213,11 +234,13 @@ def test_calibration_hits_target_peak(slices):
     assert peak == pytest.approx(200.0, rel=1e-6)
 
 
-def test_scene_point_validation():
+@pytest.mark.parametrize("r, alpha", [(-1.0, 0.5), (0.0, 0.5), (np.inf, 0.5), (np.nan, 0.5),
+                                      (10.0, 1.5), (10.0, -0.5), (10.0, np.nan)])
+def test_simulation_rejects_bad_distance_or_reflectance(slices, r, alpha):
+    with pytest.raises(ValueError, match="distances" if alpha == 0.5 else "reflectance"):
+        slice_values(slices, [r], alpha)
     with pytest.raises(ValueError):
-        ScenePoint(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        ScenePoint(10.0, 1.5)
+        simulate_batch(np.array([20.0, r]), np.array([0.5, alpha]), slices, 0.0, 3.0, NoiseModel(0.0, 0))
 
 
 class TestIndexAddressedNoise:
