@@ -173,8 +173,9 @@ def _cmd_predict(cfg: RunConfig, args, out: Path):
 
 def _load_slice_images(paths):
     images = tuple(read_pgm(p) for p in paths)
-    if any(img.dtype != np.uint8 for img in images):
-        raise DataFormatError("slice images must be 8-bit PGM")
+    wide = [str(p) for p, img in zip(paths, images) if img.dtype != np.uint8]
+    if wide:
+        raise DataFormatError(f"slice images must be 8-bit PGM, not 16-bit: {', '.join(wide)}")
     if len({img.shape for img in images}) != 1:
         sizes = ", ".join(f"{p} is {img.shape[1]}x{img.shape[0]}" for p, img in zip(paths, images))
         raise DataFormatError(f"slice images must share dimensions: {sizes}")
@@ -273,7 +274,7 @@ def build_parser():
     p.add_argument("--batch-sizes", type=_arg(_positive_int, many=True), default="16,64")
     p.add_argument("--architectures", type=_arg(_hidden_layout, many=True), default="40,20-10")
     p.add_argument("--activations", type=_arg(_activation, many=True), default="relu")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
+    p.add_argument("--threads", type=_arg(_positive_int), default=1, help="accepted; has no effect")
 
     p = sub.add_parser("predict", help="per-sample depth predictions from a model")
     p.add_argument("--model", required=True)

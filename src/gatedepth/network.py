@@ -130,7 +130,8 @@ def _forward(model: NetworkModel, x, cache=None):
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        # one-row products: BLAS rounds a whole-batch a @ w by batch size, a row alone does not
+        z = (a[:, None, :] @ w)[:, 0] + b
         a_next = act(z) if i < last else z  # linear output layer
         if cache is not None:
             cache.append((a, z, a_next))
@@ -402,8 +403,7 @@ def predict_depth_batch(model: NetworkModel, triples):
     values = np.asarray(triples, dtype=float).reshape(-1, 3)
     out = np.full(values.shape[0], np.nan)
     valid = screen_triples(values)[2]
-    if np.any(valid):
-        out[valid] = forward(model, standardize_batch(values[valid]))
+    out[valid] = forward(model, standardize_batch(values[valid]))
     return out
 
 
@@ -427,9 +427,7 @@ class ProbeTable:
 def valid_probe_triples(s1, s2, s3, max_gray=230, contrast_floor=CONTRAST_FLOOR):
     """Probe validity: all below ``max_gray``, spread above ``contrast_floor``,
     and the middle slice not the strict minimum."""
-    s1 = np.asarray(s1)
-    s2 = np.asarray(s2)
-    s3 = np.asarray(s3)
+    s1, s2, s3 = np.asarray(s1), np.asarray(s2), np.asarray(s3)
     mx = np.maximum(s1, np.maximum(s2, s3))
     mn = np.minimum(s1, np.minimum(s2, s3))
     return (mx < max_gray) & (mx - mn > contrast_floor) & ~((s2 < s1) & (s2 < s3))
@@ -441,39 +439,37 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
 
     Reconstructs the effective response curves the network has learned: for
     each predicted-range bin, the mean of each slice's intensity divided by
-    the triple's maximum.
+    the triple's maximum. The network runs once per valid difference pair
+    ``(s1 - s3, s2 - s3)``, all a triple's validity and z-scores depend on.
     """
+    d = np.arange(1 - max_gray, max_gray)  # every difference of two grays
+    d1, d2 = (g.reshape(-1) for g in np.meshgrid(d, d, indexing="ij"))
+    low = np.minimum(np.minimum(d1, d2), 0)
+    reps = np.column_stack([d1 - low, d2 - low, -low])  # each pair's triple with minimum 0
+    valid = valid_probe_triples(*reps.T, max_gray, contrast_floor)
+    reps = reps[valid]
+    preds = np.empty(len(reps))
+    for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
+        preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
+    bins, dense = np.unique(np.floor(preds / bin_width_m).astype(np.int64), return_inverse=True)
+    table = np.full(d1.size, -1)
+    table[valid] = dense
+
     grid = np.arange(max_gray)
-    s2g, s3g = np.meshgrid(grid, grid, indexing="ij")
-    s2f = s2g.reshape(-1).astype(float)
-    s3f = s3g.reshape(-1).astype(float)
-
-    sums: dict = {}
-    total = 0
-    for s1 in range(max_gray):
-        mask = valid_probe_triples(s1, s2f, s3f, max_gray, contrast_floor)
-        if not np.any(mask):
-            continue
-        a = s2f[mask]
-        b = s3f[mask]
-        triples = np.column_stack([np.full(a.size, float(s1)), a, b])
-        total += a.size
-        preds = forward(model, standardize_batch(triples))
-        normalized = triples / triples.max(axis=1, keepdims=True)
-        idx = np.floor(preds / bin_width_m).astype(np.int64)
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        counts = np.bincount(inverse)
-        col_sums = np.column_stack([np.bincount(inverse, weights=normalized[:, j]) for j in range(3)])
-        for key, n, row in zip(uniq.tolist(), counts.tolist(), col_sums):
-            entry = sums.setdefault(key, [0, np.zeros(3)])
-            entry[0] += n
-            entry[1] += row
-
-    keys = sorted(sums)
-    centers = np.array([(k + 0.5) * bin_width_m for k in keys])
-    counts = np.array([sums[k][0] for k in keys], dtype=np.int64)
-    means = np.vstack([sums[k][1] / sums[k][0] for k in keys]) if keys else np.zeros((0, 3))
-    return ProbeTable(bin_width_m, centers, means, counts, total)
+    s2, s3 = (g.reshape(-1) for g in np.meshgrid(grid, grid, indexing="ij"))
+    plane_keys = (max_gray - 1 - s3) * d.size + (s2 - s3 + max_gray - 1)  # pair index at s1 = 0
+    counts = np.zeros(bins.size, dtype=np.int64)
+    sums = np.zeros((bins.size, 3))
+    for s1 in range(max_gray):  # plane by plane: bin sums add up in per-triple order
+        idx = table[plane_keys + s1 * d.size]
+        keep = idx >= 0
+        idx, a, b = idx[keep], s2[keep], s3[keep]
+        mx = np.maximum(np.maximum(float(s1), a), b)
+        counts += np.bincount(idx, minlength=bins.size)
+        for j, col in enumerate((float(s1), a, b)):
+            sums[:, j] += np.bincount(idx, weights=col / mx, minlength=bins.size)
+    return ProbeTable(bin_width_m, (bins + 0.5) * bin_width_m, sums / counts[:, None], counts,
+                      int(counts.sum()))
 
 
 def save_model(model: NetworkModel, path):

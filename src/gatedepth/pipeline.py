@@ -17,6 +17,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -88,12 +89,13 @@ def screen_triples(values):
     (n, k) gray-value array. Saturated rows have a value above
     ``SATURATION_LIMIT``, low-contrast rows are the others with a max-min
     spread below ``CONTRAST_FLOOR``, and usable rows are finite and neither."""
-    values = np.asarray(values, dtype=float)
-    mx = values.max(axis=1)
+    cols = np.asarray(values, dtype=float).T
+    mx = reduce(np.maximum, cols)
     saturated = mx > SATURATION_LIMIT
-    with np.errstate(invalid="ignore"):  # inf - inf in all-inf rows
-        low_contrast = ~saturated & (mx - values.min(axis=1) < CONTRAST_FLOOR)
-    usable = np.isfinite(values).all(axis=1) & ~saturated & ~low_contrast
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; saturated +-1e308
+        spread = mx - reduce(np.minimum, cols)
+    low_contrast = ~saturated & (spread < CONTRAST_FLOOR)
+    usable = np.isfinite(spread) & ~saturated & ~low_contrast  # NaN, -inf: no finite spread
     return saturated, low_contrast, usable
 
 
@@ -238,13 +240,14 @@ def build_dataset(data: RawDataset, spec: DatasetVariant) -> RawDataset:
 
 
 def standardize_batch(intensities):
-    """Vectorized per-row z-scoring of an (n, 3) intensity array."""
-    values = np.asarray(intensities, dtype=float).reshape(-1, 3)
-    mu = values.mean(axis=1, keepdims=True)
-    sigma = values.std(axis=1, ddof=1, keepdims=True)
-    if np.any(sigma == 0.0):
+    """Per-row z-scores (ddof=1) of an (n, 3) array as ``e / sqrt(q / 2)``, ``e = 3*v - sum(v)``,
+    ``q = sum(e**2)``: exact for integers, so a function of ``(s1 - s3, s2 - s3)`` bit for bit."""
+    v = np.asarray(intensities, dtype=float).reshape(-1, 3)
+    e = 3.0 * v - (v[:, 0] + v[:, 1] + v[:, 2])[:, None]
+    q = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]
+    if np.any(q == 0.0):
         raise DegenerateSampleError("batch contains zero-spread triples")
-    return (values - mu) / sigma
+    return e / np.sqrt(q / 2.0)[:, None]
 
 
 def standardized_arrays(data: RawDataset):

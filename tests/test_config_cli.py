@@ -332,6 +332,8 @@ class TestCli:
         (["gridsearch", "--architectures", "40,20-x"], "--architectures"),
         (["gridsearch", "--activations", "swish"], "--activations"),
         (["gridsearch", "--activations", "relu,"], "--activations"),
+        (["gridsearch", "--threads", "0"], "--threads"),
+        (["gridsearch", "--threads", "-1"], "--threads"),
     ])
     def test_bad_flag_value_is_a_usage_error_before_any_data_is_read(self, tmp_path, capsys, argv,
                                                                      flag):
@@ -343,14 +345,14 @@ class TestCli:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated"])
+    @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated", "pgm_16bit"])
     def test_malformed_file_is_an_io_error_naming_it(self, tmp_path, capsys, model_file, case):
         from gatedepth.pgmio import write_pgm
 
         paths = [tmp_path / f"s{i}.pgm" for i in (1, 2, 3)]
         for i, path in enumerate(paths):
             write_pgm(path, np.full((4, 5 if i == 1 and case == "pgm_sizes_differ" else 4), 50,
-                                    dtype=np.uint8))
+                                    dtype=np.uint16 if i == 2 and case == "pgm_16bit" else np.uint8))
         slices = ["--slice1", str(paths[0]), "--slice2", str(paths[1]), "--slice3", str(paths[2])]
         model = []
         if case == "model_truncated":
@@ -362,6 +364,9 @@ class TestCli:
         if case == "pgm_sizes_differ":
             assert "share dimensions" in err and all(str(p) in err for p in paths)
             assert "s2.pgm is 5x4" in err
+        elif case == "pgm_16bit":
+            assert "must be 8-bit PGM" in err and str(paths[2]) in err
+            assert str(paths[0]) not in err and str(paths[1]) not in err
         else:
             assert f"{model_file}: model file ends early, after line 9" in err
 

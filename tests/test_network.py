@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedepth.errors import TrainingDivergedError
 from gatedepth.network import (
     GridSpec,
     NetworkArch,
     NetworkModel,
+    ProbeTable,
     TrainConfig,
     backward,
     forward,
@@ -21,6 +24,7 @@ from gatedepth.network import (
     train,
     valid_probe_triples,
 )
+from gatedepth.pipeline import standardize_batch
 from gatedepth.seeding import derive_seed
 
 
@@ -314,6 +318,88 @@ def predict_one(model, triple):
     return float(out[0])
 
 
+def same_bits(a, b):
+    return np.asarray(a).view(np.int64).tolist() == np.asarray(b).view(np.int64).tolist()
+
+
+def spread_model(hidden, activation, seed):
+    """A model whose output spreads over tens of metres (a fresh init stays near 0)."""
+    rng = np.random.default_rng(seed)
+    dims = (3, *hidden, 1)
+    weights = [rng.normal(0.0, 1.5 / np.sqrt(dims[i]), (dims[i], dims[i + 1]))
+               for i in range(len(dims) - 1)]
+    biases = [rng.normal(0.0, 0.5, dims[i + 1]) for i in range(len(dims) - 1)]
+    weights[-1] *= 15.0
+    biases[-1][:] = 60.0
+    return NetworkModel(NetworkArch(hidden, activation), weights, biases, seed=seed)
+
+
+#: relu, tanh and sigmoid single-layer models plus a deep layout.
+MODELS = {
+    "relu-40": spread_model((40,), "relu", 1),
+    "tanh-40": spread_model((40,), "tanh", 2),
+    "sigmoid-40": spread_model((40,), "sigmoid", 3),
+    "tanh-40-20-10-5": spread_model((40, 20, 10, 5), "tanh", 4),
+}
+_gray = st.integers(0, 255)
+_rows = st.one_of(
+    st.tuples(_gray, _gray, _gray),
+    st.tuples(*[st.floats(0.0, 250.0)] * 3),
+    st.tuples(st.integers(0, 20), st.integers(40, 250), st.integers(0, 250)),  # clearly valid
+)
+_invalid_rows = st.one_of(
+    st.tuples(st.integers(251, 255), _gray, _gray),  # saturated
+    st.tuples(*[st.integers(100, 105)] * 3),  # low contrast
+    st.tuples(st.sampled_from([np.nan, np.inf, -np.inf]), _gray, _gray),
+)
+
+
+class TestPredictionsDoNotDependOnTheBatch:
+    @pytest.mark.parametrize("name", MODELS)
+    @given(rows=st.lists(_rows, min_size=1, max_size=40), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_permutation_and_one_row(self, name, rows, data):
+        model = MODELS[name]
+        triples = np.array(rows, dtype=float)
+        out = predict_depth_batch(model, triples)
+        cut = data.draw(st.integers(0, len(rows)))
+        parts = [predict_depth_batch(model, part) for part in (triples[:cut], triples[cut:])]
+        assert same_bits(np.concatenate(parts), out)
+        order = np.array(data.draw(st.permutations(range(len(rows)))))
+        assert same_bits(predict_depth_batch(model, triples[order]), out[order])
+        for i, row in enumerate(triples):
+            assert same_bits(predict_depth_batch(model, row), out[i:i + 1])
+
+    @pytest.mark.parametrize("name", MODELS)
+    @given(rows=st.lists(_rows, min_size=1, max_size=40),
+           extra=st.lists(_invalid_rows, min_size=1, max_size=20), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invalid_rows_mixed_in(self, name, rows, extra, data):
+        model = MODELS[name]
+        triples = np.array(rows, dtype=float)
+        out = predict_depth_batch(model, triples)
+        is_extra = np.array(data.draw(st.permutations([False] * len(rows) + [True] * len(extra))))
+        mixed = np.empty((is_extra.size, 3))
+        mixed[~is_extra], mixed[is_extra] = triples, np.array(extra, dtype=float)
+        got = predict_depth_batch(model, mixed)
+        assert same_bits(got[~is_extra], out)
+        assert np.isnan(got[is_extra]).all()
+
+
+class TestShiftInvariance:
+    @pytest.mark.parametrize("name", MODELS)
+    @given(triples=st.lists(st.tuples(*[st.integers(0, 250)] * 3), min_size=1, max_size=30),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_shift_gives_equal_depths(self, name, triples, data):
+        model = MODELS[name]
+        base = np.array(triples)
+        # shifts that keep each row inside 0..250, so the saturation rule sees the same row
+        shift = np.array([data.draw(st.integers(-min(row), 250 - max(row))) for row in triples])
+        moved = base + shift[:, None]
+        assert same_bits(predict_depth_batch(model, moved), predict_depth_batch(model, base))
+
+
 class TestPredict:
     def test_prefilter_predicates_apply(self):
         model = init_params(NetworkArch((4,), "relu"), seed=0)
@@ -333,6 +419,33 @@ class TestPredict:
         batch = predict_depth_batch(model, triples)
         assert batch[0] == pytest.approx(predict_one(model, triples[0]))
         assert np.isnan(batch[1]) and np.isnan(batch[2])
+
+
+def reference_probe(model, max_gray, contrast_floor, bin_width_m):
+    """Per-triple probe: each s1 plane's valid triples are standardized,
+    forwarded and binned, and the bin sums accumulate plane by plane."""
+    grid = np.arange(max_gray, dtype=float)
+    s2, s3 = (g.reshape(-1) for g in np.meshgrid(grid, grid, indexing="ij"))
+    sums, total = {}, 0
+    for s1 in range(max_gray):
+        mask = valid_probe_triples(s1, s2, s3, max_gray, contrast_floor)
+        if not mask.any():
+            continue
+        triples = np.column_stack([np.full(mask.sum(), float(s1)), s2[mask], s3[mask]])
+        total += len(triples)
+        preds = forward(model, standardize_batch(triples))
+        normalized = triples / triples.max(axis=1, keepdims=True)
+        keys, inverse = np.unique(np.floor(preds / bin_width_m).astype(np.int64), return_inverse=True)
+        counts = np.bincount(inverse)
+        col_sums = np.column_stack([np.bincount(inverse, weights=normalized[:, j]) for j in range(3)])
+        for key, n, row in zip(keys.tolist(), counts.tolist(), col_sums):
+            entry = sums.setdefault(key, [0, np.zeros(3)])
+            entry[0] += n
+            entry[1] += row
+    keys = sorted(sums)
+    return ProbeTable(bin_width_m, np.array([(k + 0.5) * bin_width_m for k in keys]),
+                      np.array([sums[k][1] / sums[k][0] for k in keys]).reshape(-1, 3),
+                      np.array([sums[k][0] for k in keys], dtype=np.int64), total)
 
 
 class TestProbe:
@@ -367,6 +480,26 @@ class TestProbe:
                         count += 1
         assert table.total_triples == count
         assert table.counts.sum() == count
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("max_gray, contrast_floor", [(30, 0), (30, 6), (60, 6), (60, 20)])
+    @pytest.mark.parametrize("bin_width_m", [1.0, 0.37])
+    def test_matches_the_per_triple_reference(self, name, max_gray, contrast_floor, bin_width_m):
+        model = MODELS[name]
+        table = probe_learned_function(model, max_gray, contrast_floor, bin_width_m)
+        ref = reference_probe(model, max_gray, contrast_floor, bin_width_m)
+        assert table.total_triples == ref.total_triples > 0
+        assert table.counts.tolist() == ref.counts.tolist()
+        assert same_bits(table.bin_centers, ref.bin_centers)
+        np.testing.assert_allclose(table.mean_normalized, ref.mean_normalized, rtol=0, atol=1e-12)
+        assert table.counts.size >= 5  # the model spreads over several bins
+
+    @pytest.mark.parametrize("max_gray, contrast_floor", [(1, 0), (6, 6), (7, 6), (21, 20)])
+    def test_no_valid_triple_gives_an_empty_table(self, max_gray, contrast_floor):
+        table = probe_learned_function(MODELS["relu-40"], max_gray, contrast_floor)
+        assert table.total_triples == 0
+        assert table.counts.size == table.bin_centers.size == 0
+        assert table.mean_normalized.shape == (0, 3)
 
 
 class TestModelFile:

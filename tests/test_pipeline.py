@@ -15,6 +15,7 @@ from gatedepth.pipeline import (
     prefilter,
     prefilter_counts,
     save_samples,
+    screen_triples,
     split,
     standardize_batch,
     standardized_arrays,
@@ -201,6 +202,25 @@ class TestVariants:
             variant("dataset9")
 
 
+_screen_values = st.one_of(st.integers(0, 255), st.floats(-20.0, 300.0),
+                          st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 250.0, 251.0]))
+
+
+class TestScreen:
+    @given(st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.lists(_screen_values, min_size=k, max_size=k), min_size=1, max_size=30)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_reduction_rule(self, rows):
+        values = np.array(rows, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            mx, spread = values.max(axis=1), values.max(axis=1) - values.min(axis=1)
+        saturated = mx > SATURATION_LIMIT
+        low = ~saturated & (spread < CONTRAST_FLOOR)
+        usable = np.isfinite(values).all(axis=1) & ~saturated & ~low
+        for got, want in zip(screen_triples(values), (saturated, low, usable)):
+            assert got.tolist() == want.tolist()
+
+
 class TestStandardize:
     def test_symmetric_triple(self):
         x, r = standardized_arrays(ds([(10, 20, 30, 5.0)]))
@@ -234,6 +254,25 @@ class TestStandardize:
         base = standardize_batch(np.array([triple], dtype=float))
         moved = standardize_batch(np.array([triple], dtype=float) * scale + shift)
         np.testing.assert_allclose(moved, base, atol=1e-9)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=1, max_size=30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_shift_gives_identical_bits(self, triples, data):
+        base = np.array(triples)
+        shift = np.array([data.draw(st.integers(-min(row), 255 - max(row))) for row in triples])
+        varied = base.max(axis=1) > base.min(axis=1)
+        z = standardize_batch(base[varied])
+        moved = standardize_batch((base + shift[:, None])[varied])
+        assert moved.tobytes() == z.tobytes()
+        assert np.array_equal(z, standardize_batch(base[varied] - base[varied][:, 2:]))
+
+    def test_matches_the_mean_and_std_formula(self):
+        rng = np.random.default_rng(4)
+        triples = np.vstack([rng.integers(0, 256, (5000, 3)), rng.uniform(-50, 300, (5000, 3))])
+        triples = triples[triples.max(axis=1) > triples.min(axis=1)]
+        mu, sigma = triples.mean(axis=1, keepdims=True), triples.std(axis=1, ddof=1, keepdims=True)
+        np.testing.assert_allclose(standardize_batch(triples), (triples - mu) / sigma,
+                                   rtol=0, atol=1e-12)
 
 
 class TestSplit:
