@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,8 @@ from . import __version__
 from .config import (RunConfig, _activation, _finite_non_negative, _finite_positive,
                      _hidden_layout, _positive_int, config_hash, load_config)
 from .errors import ConfigError, DataFormatError, GatedDepthError
-from .estimators import build_section_table
-from .evaluation import (baseline_estimator, compare_estimators, network_estimator,
-                         render_depth_map)
+from .estimators import baseline_estimate_batch, build_section_table
+from .evaluation import compare_estimators, render_depth_map
 from .gating import Atmosphere, rip, slice_support
 from .network import (GridSpec, NetworkArch, TrainConfig, grid_search, load_model,
                       predict_depth_batch, probe_learned_function, save_model, train)
@@ -129,18 +129,13 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
         grid = GridSpec.default_grid()
     else:
         grid = GridSpec(args.learning_rates, args.batch_sizes, args.architectures, args.activations)
-    tags = args.variants.split(",") if args.variants else [cfg.variant]
-    try:
-        specs = [variant(tag.strip()) for tag in tags]
-    except ValueError as exc:
-        raise ConfigError(f"--variants: {exc}") from None
     datasets = []
     raw = prefilter(load_samples(args.input))
-    for tag, spec in zip(tags, specs):
+    for spec in args.variants or (variant(cfg.variant),):
         filtered = build_dataset(raw, spec)
         if not len(filtered):
-            raise DataFormatError(f"variant {tag}: empty dataset after filtering")
-        tr, va = split(filtered, cfg.train_fraction, cfg.stage_seed(f"split.{tag}"))
+            raise DataFormatError(f"variant {spec.tag}: empty dataset after filtering")
+        tr, va = split(filtered, cfg.train_fraction, cfg.stage_seed(f"split.{spec.tag}"))
         datasets.append((spec.tag, standardized_arrays(tr), standardized_arrays(va)))
     result = grid_search(datasets, grid, max_epochs=cfg.max_epochs, patience=cfg.patience,
                          seed=cfg.stage_seed("gridsearch"))
@@ -182,13 +177,22 @@ def _load_slice_images(paths):
     return SliceImageSet(images)
 
 
+def _estimators(cfg: RunConfig, model_path, baseline):
+    """Batch depth estimators by name: the network in ``model_path`` (if
+    given), then the section baseline (if ``baseline``)."""
+    estimators = {}
+    if model_path:
+        estimators["network"] = partial(predict_depth_batch, load_model(model_path))
+    if baseline:
+        estimators["baseline"] = partial(
+            baseline_estimate_batch, table=build_section_table(cfg.slices),
+            dark_floor=cfg.baseline_dark_floor, tolerance_m=cfg.baseline_tolerance_m)
+    return estimators
+
+
 def _cmd_depthmap(cfg: RunConfig, args, out: Path):
     images = _load_slice_images([args.slice1, args.slice2, args.slice3])
-    if args.model:
-        estimator = network_estimator(load_model(args.model))
-    else:
-        table = build_section_table(cfg.slices)
-        estimator = baseline_estimator(table, cfg.baseline_dark_floor, cfg.baseline_tolerance_m)
+    (estimator,) = _estimators(cfg, args.model, not args.model).values()
     depth_map = render_depth_map(estimator, images)
     depth_map.write_pgm(out / "depth.pgm")
     if args.csv:
@@ -201,13 +205,7 @@ def _cmd_eval(cfg: RunConfig, args, out: Path):
     if not args.model and not args.baseline:
         raise ConfigError("eval needs --model and/or --baseline")
     data = load_samples(args.input)
-    estimators = {}
-    if args.model:
-        estimators["network"] = network_estimator(load_model(args.model))
-    if args.baseline:
-        table = build_section_table(cfg.slices)
-        estimators["baseline"] = baseline_estimator(table, cfg.baseline_dark_floor,
-                                                    cfg.baseline_tolerance_m)
+    estimators = _estimators(cfg, args.model, args.baseline)
     comparison = compare_estimators(estimators, data.triples, data.r, cfg.eval_bin_width_m)
     comparison.write_csv(out / "comparison.csv")
     for rep in comparison.reports:
@@ -267,7 +265,8 @@ def build_parser():
 
     p = sub.add_parser("gridsearch", help="hyperparameter grid search")
     p.add_argument("--input", required=True)
-    p.add_argument("--variants", help="comma list of dataset variants (default: config variant)")
+    p.add_argument("--variants", type=_arg(variant, many=True),
+                   help="comma list of dataset variants (default: config variant)")
     p.add_argument("--full-grid", action="store_true", help="use the stock 720-point grid")
     p.add_argument("--learning-rates", type=_arg(_finite_non_negative, many=True),
                    default="0.1,0.01,0.001")

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .gating import SliceConfig, standard_slices
+from .gating import standard_slices
 from .network import ACTIVATIONS, NetworkArch, TrainConfig, parse_hidden
-from .pipeline import VARIANTS
+from .pipeline import variant
 from .seeding import derive_seed
 
 
@@ -50,29 +50,15 @@ class RunConfig:
         return derive_seed(self.seed, stage)
 
 
-def _slice_get(cfg: RunConfig, index: int, attr: str):
-    s = cfg.slices[index]
-    return {
-        "pulses": s.pulses,
-        "tl_ns": s.pulse.width_ns,
-        "tg_ns": s.gate.width_ns,
-        "t0_ns": s.delay_ns,
-    }[attr]
-
-
-def _slice_set(cfg: RunConfig, index: int, attr: str, value: float):
-    s = cfg.slices[index]
-    kw = {
-        "pulses": s.pulses,
-        "pulse_ns": s.pulse.width_ns,
-        "gate_ns": s.gate.width_ns,
-        "delay_ns": s.delay_ns,
-    }
-    key = {"pulses": "pulses", "tl_ns": "pulse_ns", "tg_ns": "gate_ns", "t0_ns": "delay_ns"}[attr]
-    kw[key] = int(value) if attr == "pulses" else float(value)
-    slices = list(cfg.slices)
-    slices[index] = SliceConfig.rectangular(kw["pulses"], kw["pulse_ns"], kw["gate_ns"], kw["delay_ns"])
-    cfg.slices = tuple(slices)
+# slice key -> (parse, get, replace) on one SliceConfig; replace runs its checks
+_SLICE_FIELDS = {
+    "pulses": (int, lambda s: s.pulses, lambda s, v: replace(s, pulses=v)),
+    "tl_ns": (float, lambda s: s.pulse.width_ns,
+              lambda s, v: replace(s, pulse=replace(s.pulse, width_ns=v))),
+    "tg_ns": (float, lambda s: s.gate.width_ns,
+              lambda s, v: replace(s, gate=replace(s.gate, width_ns=v))),
+    "t0_ns": (float, lambda s: s.delay_ns, lambda s, v: replace(s, delay_ns=v)),
+}
 
 
 def _hidden_layout(text):
@@ -116,16 +102,13 @@ def _simple(key, attr, parse):
 
 _simple("seed", "seed", int)
 for i in range(3):
-    for attr, parse in (("pulses", int), ("tl_ns", float), ("tg_ns", float), ("t0_ns", float)):
-        _register(
-            f"slice{i + 1}.{attr}", parse,
-            lambda cfg, i=i, attr=attr: _slice_get(cfg, i, attr),
-            lambda cfg, v, i=i, attr=attr: _slice_set(cfg, i, attr, v),
-        )
+    for attr, (parse, get, put) in _SLICE_FIELDS.items():
+        _register(f"slice{i + 1}.{attr}", parse, lambda cfg, i=i, get=get: get(cfg.slices[i]),
+                  lambda cfg, v, i=i, put=put: setattr(
+                      cfg, "slices", (*cfg.slices[:i], put(cfg.slices[i], v), *cfg.slices[i + 1:])))
 _simple("atmosphere.gamma_per_m", "gamma_per_m", _finite_non_negative)
 _simple("noise.sigma_gray", "noise_sigma_gray", _finite_non_negative)
-_simple("dataset.variant", "variant",
-        _checked(str, lambda v: v in VARIANTS, f"one of {sorted(VARIANTS)}"))
+_simple("dataset.variant", "variant", lambda text: variant(text).tag)
 _register("network.hidden", _hidden_layout,
           lambda cfg: "-".join(str(w) for w in cfg.hidden),
           lambda cfg, v: setattr(cfg, "hidden", v))

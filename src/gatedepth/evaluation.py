@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataFormatError
-from .pgmio import write_pgm
+from .pgmio import read_pgm, write_pgm
 from .scene import SliceImageSet
 
 #: Fixed-point scale of 16-bit depth images: gray levels per metre (0 = invalid).
@@ -40,17 +40,11 @@ class BinnedError:
     def total_count(self):
         return sum(row.count for row in self.rows)
 
-    def write_csv(self, path_or_file):
-        if hasattr(path_or_file, "write"):
-            self._write(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-                self._write(fh)
-
-    def _write(self, fh):
-        fh.write("bin_center,mae,std,rel_mae,count\n")
-        for row in self.rows:
-            fh.write(f"{row.center!r},{row.mae!r},{row.std!r},{row.rel_mae!r},{row.count}\n")
+    def write_csv(self, path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("bin_center,mae,std,rel_mae,count\n")
+            for row in self.rows:
+                fh.write(f"{row.center!r},{row.mae!r},{row.std!r},{row.rel_mae!r},{row.count}\n")
 
 
 def binned_mae(predicted, truth, bin_width_m=5.0) -> BinnedError:
@@ -125,12 +119,8 @@ def compare_estimators(estimators, triples, truth, bin_width_m=5.0) -> Estimator
         preds = np.asarray(fn(triples), dtype=float).reshape(-1)
         if preds.shape != truth.shape:
             raise ValueError(f"estimator {name!r} returned {preds.shape}, expected {truth.shape}")
-        coverage = float(np.isfinite(preds).mean())
-        if np.any(np.isfinite(preds)):
-            binned = binned_mae(preds, truth, bin_width_m)
-        else:
-            binned = BinnedError(bin_width_m, ())
-        reports.append(EstimatorReport(name, binned, coverage))
+        reports.append(EstimatorReport(name, binned_mae(preds, truth, bin_width_m),
+                                       float(np.isfinite(preds).mean())))
     return EstimatorComparison(tuple(reports), bin_width_m)
 
 
@@ -161,8 +151,6 @@ class DepthMap:
 
 def read_depth_pgm(path):
     """Inverse of DepthMap.write_pgm; returns a DepthMap with NaN invalids."""
-    from .pgmio import read_pgm
-
     levels = read_pgm(path)
     if levels.dtype != np.uint16:
         raise DataFormatError(f"{path}: expected a 16-bit depth image")
@@ -181,17 +169,3 @@ def render_depth_map(estimator, images: SliceImageSet) -> DepthMap:
     triples = np.column_stack([img.reshape(-1).astype(float) for img in images.images])
     preds = np.asarray(estimator(triples), dtype=float).reshape(h, w)
     return DepthMap(preds)
-
-
-def network_estimator(model):
-    """Batch estimator adapter for a trained network."""
-    from .network import predict_depth_batch
-
-    return lambda triples: predict_depth_batch(model, triples)
-
-
-def baseline_estimator(table, dark_floor=6.0, tolerance_m=1.0):
-    """Batch estimator adapter for the sectioned ratio baseline."""
-    from .estimators import baseline_estimate_batch
-
-    return lambda triples: baseline_estimate_batch(triples, table, dark_floor, tolerance_m)

@@ -253,6 +253,14 @@ def _overlap_rows(pulse, gate, gate_open, tau):
     return total
 
 
+def _rect_closed_form(pulse, gate, gate_open, tau):
+    """Overlap (ns) of a rectangular pulse arriving at ``tau`` with a
+    rectangular gate opening at ``gate_open``."""
+    lo = np.maximum(tau, gate_open)
+    hi = np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns)
+    return np.clip(hi - lo, 0.0, None)
+
+
 def gated_response(pulse: PulseShape, gate: GateShape, delay_ns, r_m):
     """Pixel response (arbitrary units) for a single pulse/gate pair.
 
@@ -272,9 +280,7 @@ def gated_response(pulse: PulseShape, gate: GateShape, delay_ns, r_m):
     tau = 2.0 * r_m / SPEED_OF_LIGHT_M_PER_NS  # two-way travel time
     gate_open = pulse.width_ns + delay_ns
     if pulse.kind == "rectangular" and gate.kind == "rectangular":
-        lo = np.maximum(tau, gate_open)
-        hi = np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns)
-        out = np.clip(hi - lo, 0.0, None)
+        out = _rect_closed_form(pulse, gate, gate_open, tau)
     else:
         flat_open, flat_tau = gate_open.reshape(-1), tau.reshape(-1)
         out = np.empty(flat_tau.shape)
@@ -297,12 +303,8 @@ def rect_overlap(cfg: SliceConfig, r):
     """Vectorized rectangular overlap (ns) for an array of distances."""
     if not cfg.is_rectangular:
         raise UnsupportedShapeError("vectorized overlap requires rectangular shapes")
-    r = np.asarray(r, dtype=float)
-    tau = 2.0 * r / SPEED_OF_LIGHT_M_PER_NS
-    open_t = cfg.gate_open_ns
-    lo = np.maximum(tau, open_t)
-    hi = np.minimum(tau + cfg.pulse.width_ns, open_t + cfg.gate.width_ns)
-    out = np.clip(hi - lo, 0.0, None)
+    tau = 2.0 * np.asarray(r, dtype=float) / SPEED_OF_LIGHT_M_PER_NS
+    out = _rect_closed_form(cfg.pulse, cfg.gate, cfg.gate_open_ns, tau)
     return out if out.ndim else float(out)
 
 
@@ -320,11 +322,6 @@ def gdp(pulse: PulseShape, gate: GateShape, r_m, delays):
 
     Triangular when pulse and gate widths match, trapezoidal otherwise.
     """
-    delays = np.asarray(delays, dtype=float)
-    if delays.size == 0:
-        raise ValueError("delay grid must not be empty")
-    if np.any(np.diff(delays) <= 0):
-        raise ValueError("delay grid must be strictly increasing")
     return RangeProfile("delay_ns", delays, gated_response(pulse, gate, delays, r_m))
 
 
@@ -334,11 +331,6 @@ def rip(cfg: SliceConfig, atmo: Atmosphere, r_grid, include_irradiance=True):
     Without irradiance this is ``pulses * overlap(r)``; with irradiance the
     curve is additionally scaled by ``alpha * beta(r) / r^2``.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size == 0:
-        raise ValueError("distance grid must not be empty")
-    if np.any(np.diff(r_grid) <= 0):
-        raise ValueError("distance grid must be strictly increasing")
     vals = cfg.pulses * slice_overlap(cfg, r_grid)
     if include_irradiance:
         vals = vals * atmo.kappa(r_grid)  # raises on r <= 0

@@ -10,6 +10,7 @@ prefilter's validity screen.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -289,7 +290,7 @@ class GridSpec:
     activations: tuple
 
     def __post_init__(self):
-        if not (self.learning_rates and self.batch_sizes and self.hidden_layouts and self.activations):
+        if not all(self.axes):
             raise ValueError("every grid axis needs at least one value")
 
     @classmethod
@@ -306,20 +307,16 @@ class GridSpec:
             activations=("tanh", "sigmoid", "relu"),
         )
 
+    @property
+    def axes(self):
+        return (self.learning_rates, self.batch_sizes, self.hidden_layouts, self.activations)
+
     def enumerate(self):
-        points = []
-        for lr in self.learning_rates:
-            for batch in self.batch_sizes:
-                for hidden in self.hidden_layouts:
-                    for activation in self.activations:
-                        points.append(GridPoint(lr, batch, tuple(hidden), activation))
-        return points
+        return [GridPoint(lr, batch, tuple(hidden), activation)
+                for lr, batch, hidden, activation in itertools.product(*self.axes)]
 
     def __len__(self):
-        return (
-            len(self.learning_rates) * len(self.batch_sizes)
-            * len(self.hidden_layouts) * len(self.activations)
-        )
+        return math.prod(map(len, self.axes))
 
 
 class GridPoint(NamedTuple):
@@ -449,8 +446,12 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
     valid = valid_probe_triples(*reps.T, max_gray, contrast_floor)
     reps = reps[valid]
     preds = np.empty(len(reps))
-    for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
-        preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite outputs are rejected below
+        for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
+            preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
+    bad = np.count_nonzero(~np.isfinite(preds))
+    if bad:
+        raise ValueError(f"{bad} of {len(reps)} valid probe inputs predict a non-finite range")
     bins, dense = np.unique(np.floor(preds / bin_width_m).astype(np.int64), return_inverse=True)
     table = np.full(d1.size, -1)
     table[valid] = dense

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gating import slice_overlap
+from .gating import Atmosphere, slice_overlap
 from .pipeline import RawDataset
 
 _NOISE_CHUNK = 4096
@@ -35,10 +35,6 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.sigma_gray) and self.sigma_gray >= 0.0):
             raise ValueError("noise sigma must be >= 0")
-
-    def triples(self, n, start_index=0):
-        """Gaussian noise for samples [start_index, start_index + n) as (n, 3)."""
-        return self.rows(np.arange(start_index, start_index + n))
 
     def rows(self, indices):
         """Gaussian noise for arbitrary sample or pixel indices as (len(indices), 3).
@@ -99,9 +95,9 @@ def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
         raise ValueError("distances must be positive and finite")
     if not np.all((alpha >= 0) & (alpha <= 1)):
         raise ValueError("reflectance must lie in [0, 1]")
-    atten = np.exp(-2.0 * gamma_per_m * r) / (r * r)
+    kappa = Atmosphere(gamma_per_m=gamma_per_m).kappa(r)  # checks gamma
     cols = [cfg.pulses * slice_overlap(cfg, r) for cfg in slices]
-    return np.stack(cols, axis=1) * (alpha * atten)[:, None]
+    return np.stack(cols, axis=1) * (alpha * kappa)[:, None]
 
 
 def calibration_for_peak(slices, r_lo, r_hi, target_peak_gray=200.0, gamma_per_m=0.0, samples=4096):
@@ -119,12 +115,16 @@ def calibration_for_peak(slices, r_lo, r_hi, target_peak_gray=200.0, gamma_per_m
     return float(target_peak_gray) / float(peak)
 
 
-def simulate_batch(r, alpha, slices, gamma_per_m, calib, noise: NoiseModel, start_index=0):
-    """Quantized gray triples for arrays of distances and reflectances."""
+def simulate_batch(r, alpha, slices, gamma_per_m, calib, noise: NoiseModel, indices=None):
+    """Quantized gray triples for arrays of distances and reflectances.
+
+    Row ``k`` gets noise row ``indices[k]`` of the stream (``k`` when
+    ``indices`` is None).
+    """
     if calib <= 0 or not math.isfinite(calib):
         raise ValueError("calibration scalar must be positive and finite")
     gray = calib * slice_values(slices, r, alpha, gamma_per_m)
-    gray = gray + noise.triples(gray.shape[0], start_index)
+    gray = gray + noise.rows(np.arange(len(gray)) if indices is None else indices)
     return np.clip(np.rint(gray), 0, 255).astype(np.int64)
 
 
@@ -180,13 +180,11 @@ def render_slices(depth, reflectance, slices, noise: NoiseModel, gamma_per_m=0.0
     if depth.shape != reflectance.shape:
         raise ValueError("depth and reflectance maps must share dimensions")
     flat_d = depth.reshape(-1)
-    flat_a = reflectance.reshape(-1)
-    valid = np.isfinite(flat_d) & (flat_d > 0)
+    idx = np.flatnonzero(np.isfinite(flat_d) & (flat_d > 0))
     gray = np.zeros((flat_d.size, 3), dtype=np.int64)
-    idx = np.flatnonzero(valid)
     # Noise is indexed by pixel position, so a pixel's gray value does not
     # depend on how many other pixels are sky.
-    vals = calib * slice_values(slices, flat_d[idx], flat_a[idx], gamma_per_m) + noise.rows(idx)
-    gray[idx] = np.clip(np.rint(vals), 0, 255).astype(np.int64)
+    gray[idx] = simulate_batch(flat_d[idx], reflectance.reshape(-1)[idx], slices, gamma_per_m,
+                               calib, noise, idx)
     images = tuple(gray[:, j].reshape(depth.shape).astype(np.uint8) for j in range(3))
     return SliceImageSet(images, depth=depth)

@@ -216,6 +216,19 @@ class TestCli:
         assert "probe.max_gray" in err and "probe.contrast_floor" in err
         assert not (out / "probe.csv").exists()
 
+    def test_probe_of_an_overflowing_model_is_a_computation_error(self, tmp_path, capsys):
+        model = init_params(NetworkArch((4,), "relu"), seed=0)
+        model.weights = [np.full_like(w, 1e300) for w in model.weights]
+        save_model(model, tmp_path / "huge.txt")
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("probe.max_gray = 20\n")
+        out = tmp_path / "probe"
+        assert main(["--config", str(cfg), "--out", str(out), "probe",
+                     "--model", str(tmp_path / "huge.txt")]) == 4
+        err = capsys.readouterr().err
+        assert "valid probe inputs predict a non-finite range" in err and "Traceback" not in err
+        assert not (out / "probe.csv").exists()
+
     def test_exit_codes(self, tmp_path, sample_csv):
         # I/O error: missing input file
         assert main(["--out", str(tmp_path), "preprocess", "--input",
@@ -318,6 +331,20 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 1 + 4 * 2
 
+    def test_gridsearch_variants_spelled_with_spaces_change_nothing(self, tmp_path, sample_csv):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("train.max_epochs = 2\ntrain.patience = 2\n")
+        outputs = []
+        for i, variants in enumerate(("dataset4,dataset3", "dataset4, dataset3", " dataset4 ,dataset3")):
+            out = tmp_path / f"spelling{i}"
+            assert main(["--config", str(cfg), "--out", str(out), "gridsearch",
+                         "--input", str(sample_csv), "--variants", variants,
+                         "--learning-rates", "0.01", "--batch-sizes", "16",
+                         "--architectures", "6"]) == 0
+            outputs.append((out / "grid_results.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b",dataset4," in outputs[0] and b",dataset3," in outputs[0]
+
     @pytest.mark.parametrize("argv, flag", [
         (["rip", "--r-step", "0"], "--r-step"),
         (["rip", "--r-step", "-1"], "--r-step"),
@@ -334,6 +361,7 @@ class TestCli:
         (["gridsearch", "--activations", "relu,"], "--activations"),
         (["gridsearch", "--threads", "0"], "--threads"),
         (["gridsearch", "--threads", "-1"], "--threads"),
+        (["gridsearch", "--variants", "dataset2,nope"], "--variants"),
     ])
     def test_bad_flag_value_is_a_usage_error_before_any_data_is_read(self, tmp_path, capsys, argv,
                                                                      flag):
@@ -342,7 +370,10 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["--out", str(tmp_path / "o"), *argv])
         assert info.value.code == 2
-        assert f"argument {flag}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        if flag == "--variants":
+            assert "unknown dataset variant 'nope'" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated", "pgm_16bit"])
@@ -369,11 +400,6 @@ class TestCli:
             assert str(paths[0]) not in err and str(paths[1]) not in err
         else:
             assert f"{model_file}: model file ends early, after line 9" in err
-
-    def test_unknown_gridsearch_variant_is_a_usage_error(self, tmp_path, capsys, sample_csv):
-        assert main(["--out", str(tmp_path), "gridsearch", "--input", str(sample_csv),
-                     "--variants", "dataset2,nope"]) == 2
-        assert "nope" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_non_positive_pgm_size_is_an_io_error(self, tmp_path):

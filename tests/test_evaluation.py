@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,8 @@ from hypothesis import strategies as st
 from gatedepth.estimators import baseline_estimate_batch, build_section_table
 from gatedepth.evaluation import (
     DepthMap,
-    baseline_estimator,
     binned_mae,
     compare_estimators,
-    network_estimator,
     read_depth_pgm,
     render_depth_map,
 )
@@ -90,9 +90,8 @@ class TestCompare:
         r = np.arange(25.0, 95.0, 0.5)
         for alpha in (0.3, 0.9):
             gray = simulate_batch(r, np.full_like(r, alpha), slices, 0.0, 3.49, NoiseModel(0.0, 0))
-            out = compare_estimators(
-                {"baseline": baseline_estimator(section_table)}, gray.astype(float), r, 5.0
-            )
+            out = compare_estimators({"baseline": partial(baseline_estimate_batch, table=section_table)},
+                                     gray.astype(float), r, 5.0)
             report = out.report("baseline")
             assert report.coverage > 0.9
             assert all(row.mae < 1.0 for row in report.binned.rows)
@@ -114,7 +113,7 @@ class TestCompare:
 class TestDepthMap:
     def test_all_saturated_gives_all_invalid(self, slices, section_table):
         images = SliceImageSet(tuple(np.full((4, 6), 255, dtype=np.uint8) for _ in range(3)))
-        depth_map = render_depth_map(baseline_estimator(section_table), images)
+        depth_map = render_depth_map(partial(baseline_estimate_batch, table=section_table), images)
         assert not depth_map.valid_mask.any()
         assert depth_map.depth.shape == (4, 6)
 
@@ -122,7 +121,7 @@ class TestDepthMap:
         depth = np.full((6, 9), 50.0)
         reflect = np.full_like(depth, 0.8)
         images = render_slices(depth, reflect, slices, NoiseModel(0.0, 0), calib=3.2)
-        depth_map = render_depth_map(baseline_estimator(section_table), images)
+        depth_map = render_depth_map(partial(baseline_estimate_batch, table=section_table), images)
         valid = depth_map.depth[depth_map.valid_mask]
         assert valid.size == depth_map.depth.size
         assert valid.std() < 0.5
@@ -133,7 +132,7 @@ class TestDepthMap:
         depth = np.tile(np.linspace(10.0, 150.0, cols), (3, 1))
         reflect = np.full_like(depth, 0.8)
         images = render_slices(depth, reflect, slices, NoiseModel(0.0, 0), calib=3.2)
-        depth_map = render_depth_map(baseline_estimator(section_table), images)
+        depth_map = render_depth_map(partial(baseline_estimate_batch, table=section_table), images)
         band = (depth >= 25.0) & (depth <= 80.0) & depth_map.valid_mask
         rel_err = np.abs(depth_map.depth[band] - depth[band]) / depth[band]
         assert np.median(rel_err) < 0.05
@@ -142,7 +141,7 @@ class TestDepthMap:
         rng = np.random.default_rng(3)
         imgs = tuple(rng.integers(0, 256, (12, 12)).astype(np.uint8) for _ in range(3))
         images = SliceImageSet(imgs)
-        depth_map = render_depth_map(baseline_estimator(section_table), images)
+        depth_map = render_depth_map(partial(baseline_estimate_batch, table=section_table), images)
         s = np.stack([img.astype(float) for img in imgs], axis=-1)
         prefilter_ok = (s.max(axis=-1) <= SATURATION_LIMIT) & (
             s.max(axis=-1) - s.min(axis=-1) >= CONTRAST_FLOOR
@@ -155,7 +154,7 @@ class TestDepthMap:
     def test_network_estimator_resolution(self, slices):
         model = init_params(NetworkArch((4,), "relu"), seed=0)
         images = SliceImageSet(tuple(np.full((7, 5), v, dtype=np.uint8) for v in (10, 100, 30)))
-        depth_map = render_depth_map(network_estimator(model), images)
+        depth_map = render_depth_map(partial(predict_depth_batch, model), images)
         assert depth_map.depth.shape == (7, 5)
         assert depth_map.valid_mask.all()
 
@@ -163,7 +162,7 @@ class TestDepthMap:
         rng = np.random.default_rng(8)
         imgs = tuple(rng.integers(0, 256, (10, 14)).astype(np.uint8) for _ in range(3))
         model = init_params(NetworkArch((4,), "relu"), seed=0)
-        depth_map = render_depth_map(network_estimator(model), SliceImageSet(imgs))
+        depth_map = render_depth_map(partial(predict_depth_batch, model), SliceImageSet(imgs))
         s = np.stack([img.astype(float) for img in imgs], axis=-1)
         prefilter_ok = (s.max(axis=-1) <= SATURATION_LIMIT) & (
             s.max(axis=-1) - s.min(axis=-1) >= CONTRAST_FLOOR

@@ -501,6 +501,12 @@ class TestProbe:
         assert table.counts.size == table.bin_centers.size == 0
         assert table.mean_normalized.shape == (0, 3)
 
+    def test_non_finite_predictions_are_rejected(self):
+        huge = init_params(NetworkArch((4,), "relu"), seed=0)
+        huge.weights = [np.full_like(w, 1e300) for w in huge.weights]  # overflows on most inputs
+        with pytest.raises(ValueError, match=r"^\d+ of \d+ valid probe inputs predict a non-finite"):
+            probe_learned_function(huge, max_gray=20)
+
 
 class TestModelFile:
     def test_roundtrip_and_stable_bytes(self, tmp_path):

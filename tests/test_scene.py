@@ -25,19 +25,19 @@ def scalar_intensity_oracle(cfg, r, alpha, gamma=0.0):
 class TestNoiseModel:
     def test_stream_is_index_addressable(self):
         noise = NoiseModel(2.0, seed=99)
-        full = noise.triples(9000, start_index=0)
-        part = noise.triples(2500, start_index=5000)
+        full = noise.rows(np.arange(9000))
+        part = noise.rows(np.arange(5000, 7500))
         np.testing.assert_array_equal(full[5000:7500], part)
 
     def test_same_seed_same_stream(self):
-        a = NoiseModel(1.5, seed=4).triples(100)
-        b = NoiseModel(1.5, seed=4).triples(100)
+        a = NoiseModel(1.5, seed=4).rows(np.arange(100))
+        b = NoiseModel(1.5, seed=4).rows(np.arange(100))
         np.testing.assert_array_equal(a, b)
-        c = NoiseModel(1.5, seed=5).triples(100)
+        c = NoiseModel(1.5, seed=5).rows(np.arange(100))
         assert not np.array_equal(a, c)
 
     def test_zero_sigma_is_silent(self):
-        assert not NoiseModel(0.0, seed=1).triples(10).any()
+        assert not NoiseModel(0.0, seed=1).rows(np.arange(10)).any()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -243,6 +243,12 @@ def test_simulation_rejects_bad_distance_or_reflectance(slices, r, alpha):
         simulate_batch(np.array([20.0, r]), np.array([0.5, alpha]), slices, 0.0, 3.0, NoiseModel(0.0, 0))
 
 
+@pytest.mark.parametrize("gamma", [-1e-3, np.nan])
+def test_simulation_rejects_bad_extinction(slices, gamma):
+    with pytest.raises(ValueError, match="extinction"):
+        slice_values(slices, [20.0], 0.5, gamma)
+
+
 class TestIndexAddressedNoise:
     N = 3 * 4096 + 100
 
@@ -254,13 +260,24 @@ class TestIndexAddressedNoise:
     @settings(max_examples=40, deadline=None)
     def test_rows_equal_one_contiguous_draw(self, indices, seed):
         noise = NoiseModel(1.5, seed)
-        full = noise.triples(self.N)
+        full = noise.rows(np.arange(self.N))
         # The stream's definition: 4096-row blocks, each from (seed, block number).
         blocks = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, c)))
                   .normal(0.0, 1.5, (4096, 3)) for c in range(4)]
         np.testing.assert_array_equal(full, np.vstack(blocks)[: self.N])
         indices = np.asarray(indices, dtype=np.int64)
         np.testing.assert_array_equal(noise.rows(indices), full[indices])
+
+    @given(st.lists(st.integers(0, N - 1), min_size=1, max_size=200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_simulate_batch_rows_equal_one_contiguous_call(self, slices, indices, seed):
+        rng = np.random.default_rng(seed)
+        r, alpha = rng.uniform(10.0, 150.0, self.N), rng.uniform(0.05, 0.9, self.N)
+        noise = NoiseModel(2.0, seed)
+        full = simulate_batch(r, alpha, slices, 0.0, 3.0, noise)
+        idx = np.asarray(indices)
+        np.testing.assert_array_equal(
+            simulate_batch(r[idx], alpha[idx], slices, 0.0, 3.0, noise, indices=idx), full[idx])
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
