@@ -84,7 +84,7 @@ _finite_non_negative = _checked(float, lambda v: 0 <= v < math.inf, "finite and 
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _unit_interval = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-_activation = _checked(str, lambda v: v.lower() in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}")
+_activation = _checked(str.lower, lambda v: v in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}")
 
 # key -> (parse, get, set); fixed order defines the canonical serialization
 _SCHEMA = {}
@@ -131,9 +131,9 @@ _simple("probe.max_gray", "probe_max_gray", _checked(int, lambda v: 1 <= v <= 25
 _simple("probe.contrast_floor", "probe_contrast_floor", _checked(int, lambda v: v >= 0, ">= 0"))
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Apply ``key = value`` lines on top of defaults (or ``base``)."""
-    cfg = replace(base) if base is not None else RunConfig()
+def parse_config(text: str) -> RunConfig:
+    """Apply ``key = value`` lines on top of the defaults."""
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,13 +155,13 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base)
+    return parse_config(text)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -11,7 +11,6 @@ sections, two of which (roughly 57-72 m) admit two independent estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +122,6 @@ class SectionTable:
 
     def __len__(self):
         return len(self.sections)
-
-    @property
-    def span(self):
-        return (self.sections[0].r_lo, self.sections[-1].r_hi) if self.sections else (math.nan, math.nan)
 
     def write_csv(self, path):
         n = len(self.slices)

@@ -33,7 +33,6 @@ class BinRow(NamedTuple):
 
 @dataclass(frozen=True)
 class BinnedError:
-    bin_width_m: float
     rows: tuple
 
     @property
@@ -70,7 +69,7 @@ def binned_mae(predicted, truth, bin_width_m=5.0) -> BinnedError:
             center = float((k + 0.5) * bin_width_m)
             mae = float(err[sel].mean())
             rows.append(BinRow(center, mae, float(err[sel].std()), mae / center, int(sel.sum())))
-    return BinnedError(bin_width_m, tuple(rows))
+    return BinnedError(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class EstimatorReport:
 @dataclass(frozen=True)
 class EstimatorComparison:
     reports: tuple
-    bin_width_m: float
 
     def report(self, name):
         for rep in self.reports:
@@ -121,7 +119,7 @@ def compare_estimators(estimators, triples, truth, bin_width_m=5.0) -> Estimator
             raise ValueError(f"estimator {name!r} returned {preds.shape}, expected {truth.shape}")
         reports.append(EstimatorReport(name, binned_mae(preds, truth, bin_width_m),
                                        float(np.isfinite(preds).mean())))
-    return EstimatorComparison(tuple(reports), bin_width_m)
+    return EstimatorComparison(tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,6 @@ def render_depth_map(estimator, images: SliceImageSet) -> DepthMap:
     Output resolution equals input resolution, so the depth map aligns with
     the intensity images pixel for pixel.
     """
-    h, w = images.height, images.width
     triples = np.column_stack([img.reshape(-1).astype(float) for img in images.images])
-    preds = np.asarray(estimator(triples), dtype=float).reshape(h, w)
+    preds = np.asarray(estimator(triples), dtype=float).reshape(images.images[0].shape)
     return DepthMap(preds)

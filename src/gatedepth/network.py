@@ -141,13 +141,18 @@ def _forward(model: NetworkModel, x, cache=None):
 
 
 def forward(model: NetworkModel, x):
-    """Predicted range for a standardized triple or an (n, 3) batch."""
+    """Predicted range for a standardized triple or an (n, 3) batch; a model
+    that overflows on any input raises ``ValueError``."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     arr = arr.reshape(-1, INPUT_WIDTH)
     if not np.all(np.isfinite(arr)):
         raise ValueError("network input must be finite")
-    pred = _forward(model, arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite outputs are rejected below
+        pred = _forward(model, arr)
+    bad = np.count_nonzero(~np.isfinite(pred))
+    if bad:
+        raise ValueError(f"{bad} of {len(pred)} network inputs predict a non-finite range")
     return float(pred[0]) if single else pred
 
 
@@ -378,8 +383,7 @@ def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0):
                 model, _ = train(train_set, val_set, arch, cfg)
                 rows.append(GridRow(idx, point, tag, model.val_mae, model.epochs_run))
             except TrainingDivergedError as exc:
-                epoch = exc.epoch if exc.epoch is not None else -1
-                rows.append(GridRow(idx, point, tag, math.nan, epoch))
+                rows.append(GridRow(idx, point, tag, math.nan, exc.epoch))
     rows.sort(key=lambda row: (row.config_index, row.dataset))
 
     ranking = []
@@ -395,7 +399,8 @@ def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0):
 def predict_depth_batch(model: NetworkModel, triples):
     """Vectorized prediction on raw triples; invalid pixels become NaN.
 
-    Validity is the dataset prefilter's screen (``pipeline.screen_triples``).
+    Validity is the dataset prefilter's screen (``pipeline.screen_triples``);
+    a non-finite prediction for a valid triple raises ``ValueError``.
     """
     values = np.asarray(triples, dtype=float).reshape(-1, 3)
     out = np.full(values.shape[0], np.nan)
@@ -408,7 +413,6 @@ def predict_depth_batch(model: NetworkModel, triples):
 class ProbeTable:
     """Mean max-normalized intensities binned by the predicted range."""
 
-    bin_width_m: float
     bin_centers: np.ndarray
     mean_normalized: np.ndarray  # (bins, 3)
     counts: np.ndarray
@@ -446,12 +450,8 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
     valid = valid_probe_triples(*reps.T, max_gray, contrast_floor)
     reps = reps[valid]
     preds = np.empty(len(reps))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite outputs are rejected below
-        for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
-            preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
-    bad = np.count_nonzero(~np.isfinite(preds))
-    if bad:
-        raise ValueError(f"{bad} of {len(reps)} valid probe inputs predict a non-finite range")
+    for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
+        preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
     bins, dense = np.unique(np.floor(preds / bin_width_m).astype(np.int64), return_inverse=True)
     table = np.full(d1.size, -1)
     table[valid] = dense
@@ -469,7 +469,7 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
         counts += np.bincount(idx, minlength=bins.size)
         for j, col in enumerate((float(s1), a, b)):
             sums[:, j] += np.bincount(idx, weights=col / mx, minlength=bins.size)
-    return ProbeTable(bin_width_m, (bins + 0.5) * bin_width_m, sums / counts[:, None], counts,
+    return ProbeTable((bins + 0.5) * bin_width_m, sums / counts[:, None], counts,
                       int(counts.sum()))
 
 

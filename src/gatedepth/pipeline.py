@@ -56,12 +56,11 @@ class Sample:
 @dataclass(eq=False)
 class RawDataset:
     """Samples as an (n, 3) int64 gray-value array ``triples`` and an (n,)
-    range array ``r``, plus a provenance note. Iterating yields ``Sample``
-    rows; ``==`` compares the columns."""
+    range array ``r``. Iterating yields ``Sample`` rows; ``==`` compares
+    the columns."""
 
     triples: np.ndarray
     r: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         self.triples = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
@@ -81,7 +80,7 @@ class RawDataset:
 
     def take(self, rows):
         """The rows picked by an index array or boolean mask, as a new dataset."""
-        return RawDataset(self.triples[rows], self.r[rows], self.source)
+        return RawDataset(self.triples[rows], self.r[rows])
 
 
 def screen_triples(values):
@@ -146,7 +145,7 @@ def load_samples(path) -> RawDataset:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     if not ranges:
         raise DataFormatError(f"{path}: no data rows")
-    data = RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges), str(path))
+    data = RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges))
     bad = ((data.triples < 0) | (data.triples > 255)).any(axis=1) | ~(np.isfinite(data.r) & (data.r > 0))
     if bad.any():
         i = int(bad.argmax())
@@ -234,7 +233,7 @@ def build_dataset(data: RawDataset, spec: DatasetVariant) -> RawDataset:
     kept = n_survivors >= min_count
     if spec.collapse:
         sums = np.bincount(inverse[survives], weights=data.r[survives], minlength=counts.size)
-        return RawDataset(t[first[kept]], sums[kept] / n_survivors[kept], data.source)
+        return RawDataset(t[first[kept]], sums[kept] / n_survivors[kept])
     rows = np.flatnonzero(survives & kept[inverse])
     return data.take(rows[np.lexsort((data.r[rows], inverse[rows]))])
 

@@ -57,10 +57,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SliceImageSet:
-    """Three aligned 8-bit slice images plus optional ground-truth depth."""
+    """Three aligned 8-bit slice images."""
 
     images: tuple
-    depth: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.images) != 3:
@@ -71,16 +70,6 @@ class SliceImageSet:
         for img in self.images:
             if img.dtype != np.uint8:
                 raise ValueError("slice images must be 8-bit")
-        if self.depth is not None and self.depth.shape != self.images[0].shape:
-            raise ValueError("depth map dimensions must match the slice images")
-
-    @property
-    def height(self):
-        return self.images[0].shape[0]
-
-    @property
-    def width(self):
-        return self.images[0].shape[1]
 
 
 def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
@@ -187,4 +176,4 @@ def render_slices(depth, reflectance, slices, noise: NoiseModel, gamma_per_m=0.0
     gray[idx] = simulate_batch(flat_d[idx], reflectance.reshape(-1)[idx], slices, gamma_per_m,
                                calib, noise, idx)
     images = tuple(gray[:, j].reshape(depth.shape).astype(np.uint8) for j in range(3))
-    return SliceImageSet(images, depth=depth)
+    return SliceImageSet(images)

@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gatedepth
 from gatedepth.cli import _COMMANDS, build_parser, main
 from gatedepth.config import RunConfig, config_hash, parse_config, serialize_config
 from gatedepth.errors import ConfigError
@@ -216,18 +223,37 @@ class TestCli:
         assert "probe.max_gray" in err and "probe.contrast_floor" in err
         assert not (out / "probe.csv").exists()
 
-    def test_probe_of_an_overflowing_model_is_a_computation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, count", [
+        ("predict", "1 of 1"), ("eval", "1 of 1"), ("depthmap", "16 of 16"), ("probe", None)],
+        ids=["predict", "eval", "depthmap", "probe"])
+    def test_an_overflowing_model_is_a_computation_error(self, tmp_path, command, count):
+        from gatedepth.pgmio import write_pgm
+
         model = init_params(NetworkArch((4,), "relu"), seed=0)
-        model.weights = [np.full_like(w, 1e300) for w in model.weights]
+        model.weights = [np.full_like(w, 1e300) for w in model.weights]  # finite, overflows on use
         save_model(model, tmp_path / "huge.txt")
-        cfg = tmp_path / "probe.cfg"
-        cfg.write_text("probe.max_gray = 20\n")
-        out = tmp_path / "probe"
-        assert main(["--config", str(cfg), "--out", str(out), "probe",
-                     "--model", str(tmp_path / "huge.txt")]) == 4
-        err = capsys.readouterr().err
-        assert "valid probe inputs predict a non-finite range" in err and "Traceback" not in err
-        assert not (out / "probe.csv").exists()
+        (tmp_path / "samples.csv").write_text("s1,s2,s3,r\n10,100,30,50.0\n7,7,7,20.0\n")
+        for i, v in enumerate((10, 100, 30), start=1):
+            write_pgm(tmp_path / f"s{i}.pgm", np.full((4, 4), v, dtype=np.uint8))
+        (tmp_path / "probe.cfg").write_text("probe.max_gray = 20\n")
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", "--input", str(tmp_path / "samples.csv")],
+            "eval": ["eval", "--input", str(tmp_path / "samples.csv")],
+            "depthmap": ["depthmap", *(f"--slice{i}={tmp_path}/s{i}.pgm" for i in (1, 2, 3))],
+            "probe": ["--config", str(tmp_path / "probe.cfg"), "probe"],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(gatedepth.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "gatedepth.cli", "--out", str(out), *argv,
+                               "--model", str(tmp_path / "huge.txt")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        count = count or r"[1-9]\d* of \d+"  # the probe's first overflowing batch
+        assert re.match(rf"error: {count} network inputs predict a non-finite range\n\Z", proc.stderr), \
+            proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert list(out.iterdir()) == []  # no output file, no manifest
 
     def test_exit_codes(self, tmp_path, sample_csv):
         # I/O error: missing input file
@@ -345,6 +371,24 @@ class TestCli:
         assert outputs[0] == outputs[1] == outputs[2]
         assert b",dataset4," in outputs[0] and b",dataset3," in outputs[0]
 
+    def test_activation_spelling_changes_nothing(self, tmp_path, sample_csv):
+        outputs = []
+        for i, (name, names) in enumerate((("relu", "relu,tanh"), ("ReLU", "ReLU,Tanh"),
+                                           ("RELU", "RELU,TANH"))):
+            cfg = tmp_path / f"grid{i}.cfg"
+            cfg.write_text(f"network.activation = {name}\ntrain.max_epochs = 2\ntrain.patience = 2\n"
+                           "dataset.variant = dataset4\n")
+            out = tmp_path / f"spelling{i}"
+            assert main(["--config", str(cfg), "--out", str(out), "gridsearch",
+                         "--input", str(sample_csv), "--activations", names,
+                         "--learning-rates", "0.01", "--batch-sizes", "16",
+                         "--architectures", "6"]) == 0
+            manifest = (out / "gridsearch_manifest.txt").read_text().splitlines()
+            outputs.append(((out / "grid_results.csv").read_bytes(), (out / "grid_best.txt").read_bytes(),
+                            [line for line in manifest if line.startswith("config_sha256")]))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b",relu,dataset4," in outputs[0][0] and b",tanh,dataset4," in outputs[0][0]
+
     @pytest.mark.parametrize("argv, flag", [
         (["rip", "--r-step", "0"], "--r-step"),
         (["rip", "--r-step", "-1"], "--r-step"),
@@ -414,11 +458,9 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command, "--help"])
             assert exc.value.code == 0
-            assert command in capsys.readouterr().out or True
+            assert f"usage: gatedepth {command}" in capsys.readouterr().out
 
     def test_readme_documents_every_subcommand(self):
-        from pathlib import Path
-
         readme = Path(__file__).resolve().parent.parent / "README.md"
         text = readme.read_text(encoding="utf-8")
         for command in _COMMANDS:

@@ -443,7 +443,7 @@ def reference_probe(model, max_gray, contrast_floor, bin_width_m):
             entry[0] += n
             entry[1] += row
     keys = sorted(sums)
-    return ProbeTable(bin_width_m, np.array([(k + 0.5) * bin_width_m for k in keys]),
+    return ProbeTable(np.array([(k + 0.5) * bin_width_m for k in keys]),
                       np.array([sums[k][1] / sums[k][0] for k in keys]).reshape(-1, 3),
                       np.array([sums[k][0] for k in keys], dtype=np.int64), total)
 
@@ -504,7 +504,7 @@ class TestProbe:
     def test_non_finite_predictions_are_rejected(self):
         huge = init_params(NetworkArch((4,), "relu"), seed=0)
         huge.weights = [np.full_like(w, 1e300) for w in huge.weights]  # overflows on most inputs
-        with pytest.raises(ValueError, match=r"^\d+ of \d+ valid probe inputs predict a non-finite"):
+        with pytest.raises(ValueError, match=r"^\d+ of \d+ network inputs predict a non-finite range$"):
             probe_learned_function(huge, max_gray=20)
 
 
