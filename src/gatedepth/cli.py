@@ -227,12 +227,21 @@ def _cmd_probe(cfg: RunConfig, args, out: Path):
 
 def _arg(parse, many=False):
     """argparse ``type=`` applying ``parse`` (to each item of a comma list when
-    ``many``); its ValueError becomes the usage message."""
+    ``many``, which must not repeat a value); its ValueError becomes the usage
+    message."""
     def convert(text):
         try:
-            return tuple(parse(v.strip()) for v in text.split(",")) if many else parse(text)
+            if not many:
+                return parse(text)
+            items = [v.strip() for v in text.split(",")]
+            values = tuple(parse(v) for v in items)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(
+                    f"{items[i]!r} repeats {items[values.index(value)]!r}; give each value once")
+        return values
     return convert
 
 

@@ -46,6 +46,20 @@ class BinnedError:
                 fh.write(f"{row.center!r},{row.mae!r},{row.std!r},{row.rel_mae!r},{row.count}\n")
 
 
+def bin_index(values, bin_width_m):
+    """Integer bin ``floor(v / bin_width_m)`` of each value, the bin spanning
+    ``[k, k + 1) * bin_width_m``; ``ValueError`` naming the value and the
+    width when a bin index leaves the int64 range."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range bins are rejected below
+        k = np.floor(values / bin_width_m)
+    bad = ~((k >= -2.0**63) & (k < 2.0**63))
+    if bad.any():
+        raise ValueError(f"{float(values[bad][0])!r} has no bin of width {bin_width_m!r}: "
+                         "its bin index leaves the int64 range")
+    return k.astype(np.int64)
+
+
 def binned_mae(predicted, truth, bin_width_m=5.0) -> BinnedError:
     """Per-bin absolute/relative MAE; samples are assigned by true range.
 
@@ -63,7 +77,7 @@ def binned_mae(predicted, truth, bin_width_m=5.0) -> BinnedError:
     rows = []
     if predicted.size:
         err = np.abs(predicted - truth)
-        idx = np.floor(truth / bin_width_m).astype(np.int64)
+        idx = bin_index(truth, bin_width_m)
         for k in np.unique(idx):
             sel = idx == k
             center = float((k + 0.5) * bin_width_m)

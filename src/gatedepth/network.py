@@ -3,9 +3,11 @@
 Maps a standardized intensity triple to a range in metres through a chain of
 affine layers with elementwise nonlinearities and a linear output. Training
 is plain minibatch SGD on the mean absolute error with early stopping on
-validation MAE; ``backward`` and ``train`` share one backprop loop, and
-everything is deterministic under a fixed seed. Prediction uses the dataset
-prefilter's validity screen.
+validation MAE. ``train`` and ``grid_search`` share one stacked epoch loop
+(``train_stack``): a grid group's learning rates train in lockstep, bit for
+bit like serial runs, and ``train`` is its one-member case. ``backward`` and
+that loop share one backprop; everything is deterministic under a fixed
+seed. Prediction uses the dataset prefilter's validity screen.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataFormatError, TrainingDivergedError
+from .evaluation import bin_index
 from .pipeline import CONTRAST_FLOOR, screen_triples, standardize_batch
 from .seeding import derive_seed
 
@@ -33,7 +36,7 @@ def _relu(z):
 
 
 def _relu_grad(z, _a):
-    return (z > 0.0).astype(float)  # derivative at the kink is taken as 0
+    return z > 0.0  # derivative at the kink is taken as 0; multiplies as 1.0 or 0.0
 
 
 def _tanh(z):
@@ -111,9 +114,6 @@ class NetworkModel:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} contains non-finite parameters")
 
-    def copy_params(self):
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
 
 def init_params(arch: NetworkArch, seed: int) -> NetworkModel:
     """Fresh model: weights uniform on +-0.05, biases exactly zero."""
@@ -124,20 +124,22 @@ def init_params(arch: NetworkArch, seed: int) -> NetworkModel:
     return NetworkModel(arch, weights, biases, seed=seed)
 
 
-def _forward(model: NetworkModel, x, cache=None):
-    """Network output for an (n, 3) batch; a given ``cache`` list receives
-    each layer's (input, pre-activation, output) for backprop."""
-    act, _ = ACTIVATIONS[model.arch.activation]
+def _forward(weights, biases, act, x, cache=None):
+    """Network output for an (n, 3) batch, or (K, n) outputs for a (K, n, 3)
+    stack through K stacked parameter sets, given as (K, 1, in, out) weights
+    and (K, 1, out) biases; a given ``cache`` list receives each layer's
+    (input, pre-activation, output) for backprop."""
     a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        # one-row products: BLAS rounds a whole-batch a @ w by batch size, a row alone does not
-        z = (a[:, None, :] @ w)[:, 0] + b
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        # one-row products: BLAS rounds a whole-batch a @ w by batch size, a
+        # row alone does not, and a stacked member's row rounds as it would alone
+        z = (a[..., None, :] @ w)[..., 0, :] + b
         a_next = act(z) if i < last else z  # linear output layer
         if cache is not None:
             cache.append((a, z, a_next))
         a = a_next
-    return a[:, 0]
+    return a[..., 0]
 
 
 def forward(model: NetworkModel, x):
@@ -149,7 +151,7 @@ def forward(model: NetworkModel, x):
     if not np.all(np.isfinite(arr)):
         raise ValueError("network input must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite outputs are rejected below
-        pred = _forward(model, arr)
+        pred = _forward(model.weights, model.biases, ACTIVATIONS[model.arch.activation][0], arr)
     bad = np.count_nonzero(~np.isfinite(pred))
     if bad:
         raise ValueError(f"{bad} of {len(pred)} network inputs predict a non-finite range")
@@ -173,24 +175,26 @@ def backward(model: NetworkModel, x, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape[0] == 0 or x.shape[0] != y.shape[0]:
         raise ValueError("batch must be non-empty with matching targets")
+    act, act_grad = ACTIVATIONS[model.arch.activation]
     cache = []
-    pred = _forward(model, x, cache)
+    pred = _forward(model.weights, model.biases, act, x, cache)
     if not np.all(np.isfinite(pred)):
         raise TrainingDivergedError("non-finite activations in forward pass")
-    return _backprop(model.weights, cache, pred, y, ACTIVATIONS[model.arch.activation][1])
+    return _backprop(model.weights, cache, pred - y, act_grad)
 
 
-def _backprop(weights, cache, pred, y, act_grad):
-    """Per-layer (weight, bias) gradients of the batch MAE from a cached forward pass."""
-    delta = (np.sign(pred - y) / y.size)[:, None]
+def _backprop(weights, cache, err, act_grad):
+    """Per-layer (weight, bias) gradients of the batch MAE from a cached
+    forward pass and its residuals ``err`` (prediction minus target); stacked
+    parameters give stacked gradients."""
+    delta = (np.sign(err) / err.shape[-1])[..., None]
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        a_in = cache[i][0]
-        grads_w[i] = a_in.T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = cache[i][0].swapaxes(-1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ weights[i].T) * act_grad(*cache[i - 1][1:])
+            delta = (delta @ weights[i].swapaxes(-1, -2)) * act_grad(*cache[i - 1][1:])
     return grads_w, grads_b
 
 
@@ -225,7 +229,26 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
     ``train_data``/``val_data`` are (X, y) pairs of standardized inputs and
     raw targets in metres. After every epoch the validation MAE is measured;
     the returned model is the snapshot with the lowest validation MAE, and
-    training stops once ``patience`` epochs pass without improvement.
+    training stops once ``patience`` epochs pass without improvement. A run
+    that goes non-finite raises ``TrainingDivergedError`` naming its epoch.
+    """
+    (outcome,) = train_stack(train_data, val_data, arch, [cfg])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
+
+
+def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
+    """Train one member per ``TrainConfig`` in lockstep, as ``train`` would
+    train each alone; returns per member its ``(best model, history)`` or
+    the ``TrainingDivergedError`` its solo run raises.
+
+    The members share the data, the architecture and the batch size, epoch
+    limit and patience. Each keeps its own seed (initial weights and shuffle
+    stream), learning rate, best snapshot and patience counter. Their
+    parameters form one (K, ...) stack whose per-member products round like
+    the member's own, so every result is bit-identical to a solo run. A
+    member leaves the stack when it stops early or diverges; the rest go on.
     """
     x_train = np.asarray(train_data[0], dtype=float).reshape(-1, INPUT_WIDTH)
     y_train = np.asarray(train_data[1], dtype=float).reshape(-1)
@@ -233,56 +256,107 @@ def train(train_data, val_data, arch: NetworkArch, cfg: TrainConfig):
     y_val = np.asarray(val_data[1], dtype=float).reshape(-1)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("training and validation sets must be non-empty")
+    cfgs = list(cfgs)
+    shared = {(c.batch_size, c.max_epochs, c.patience) for c in cfgs}
+    if len(shared) != 1:
+        raise ValueError("stacked runs need one batch size, epoch limit and patience")
+    ((batch, max_epochs, patience),) = shared
 
-    model = init_params(arch, cfg.seed)
-    _, act_grad = ACTIVATIONS[arch.activation]
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
-
-    best_w, best_b = model.copy_params()
-    best_val = math.inf
-    stale = 0
-    history = []
+    act, act_grad = ACTIVATIONS[arch.activation]
+    inits = [init_params(arch, c.seed) for c in cfgs]
+    stack = _Stack(np.arange(len(cfgs)), [np.stack(w) for w in zip(*(m.weights for m in inits))],
+                   [np.stack(b) for b in zip(*(m.biases for m in inits))],
+                   np.array([c.learning_rate for c in cfgs])[:, None, None])
+    shuffles = [np.random.default_rng(np.random.SeedSequence(entropy=c.seed, spawn_key=(1,)))
+                for c in cfgs]
+    outcomes = [None] * len(cfgs)
+    best = [None] * len(cfgs)
+    best_val = [math.inf] * len(cfgs)
+    stale = [0] * len(cfgs)
+    history = [[] for _ in cfgs]
+    n = x_train.shape[0]
+    starts = range(0, n, batch)
+    batch_rows = np.array([min(batch, n - start) for start in starts])
 
     # A diverging run overflows before the isfinite checks below catch it;
     # numpy's warnings would only repeat what TrainingDivergedError reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.max_epochs):
-            order = shuffle_rng.permutation(x_train.shape[0])
-            batch_losses = []
-            for start in range(0, order.size, cfg.batch_size):
-                sel = order[start : start + cfg.batch_size]
-                xb, yb = x_train[sel], y_train[sel]
+        for epoch in range(max_epochs):
+            orders = np.stack([shuffles[k].permutation(n) for k in stack.members])
+            abs_err_sums = np.empty((len(stack.members), len(starts)))
+            for j, start in enumerate(starts):
+                sel = orders[:, start:start + batch]
                 cache = []
-                pred = _forward(model, xb, cache)
-                if not np.all(np.isfinite(pred)):
-                    raise TrainingDivergedError(f"non-finite forward pass at epoch {epoch}", epoch=epoch)
-                batch_losses.append(float(np.mean(np.abs(pred - yb))))
-                grads_w, grads_b = _backprop(model.weights, cache, pred, yb, act_grad)
-                for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                    w -= cfg.learning_rate * gw
-                    b -= cfg.learning_rate * gb
-
-            train_mae = float(np.mean(batch_losses))
-            val_pred = _forward(model, x_val)
-            if not np.all(np.isfinite(val_pred)):
-                raise TrainingDivergedError(f"non-finite validation pass at epoch {epoch}", epoch=epoch)
-            val_mae = float(np.mean(np.abs(val_pred - y_val)))
-            if not math.isfinite(train_mae) or not math.isfinite(val_mae):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-            history.append(EpochStats(epoch, train_mae, val_mae))
-
-            if val_mae < best_val:
-                best_val = val_mae
-                best_w, best_b = model.copy_params()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
+                pred = _forward(stack.w_rows, stack.b_rows, act, x_train[sel], cache)
+                err = pred - y_train[sel]
+                sums = abs_err_sums[:, j] = np.add.reduce(np.abs(err), axis=-1)
+                grads_w, grads_b = _backprop(stack.weights, cache, err, act_grad)
+                for w, b, gw, gb in zip(stack.weights, stack.biases, grads_w, grads_b):
+                    w -= np.multiply(gw, stack.rates, out=gw)
+                    b -= np.multiply(gb, stack.b_rates, out=gb)
+                if math.isfinite(sums.sum()):  # then every member's forward is finite
+                    continue
+                finite = np.isfinite(pred).all(axis=-1)
+                for k in stack.members[~finite]:
+                    outcomes[k] = TrainingDivergedError(
+                        f"non-finite forward pass at epoch {epoch}", epoch=epoch)
+                stack = stack.keep(finite)
+                orders, abs_err_sums = orders[finite], abs_err_sums[finite]
+                if not stack.members.size:
                     break
+            del orders, sel  # free the shuffles before the validation pass, the peak of memory
 
-    result = NetworkModel(arch, best_w, best_b, seed=cfg.seed,
-                          epochs_run=len(history), val_mae=best_val)
-    return result, history
+            # np.mean of each batch's |err|, then of the batch means
+            train_maes = (abs_err_sums / batch_rows).mean(axis=-1)
+            stays = np.ones(len(stack.members), dtype=bool)
+            for i, k in enumerate(stack.members):
+                member_w, member_b = [w[i] for w in stack.weights], [b[i] for b in stack.biases]
+                val_pred = _forward(member_w, member_b, act, x_val)
+                train_mae, val_mae = float(train_maes[i]), float(np.mean(np.abs(val_pred - y_val)))
+                failure = ("validation pass" if not np.isfinite(val_pred).all() else
+                           "loss" if not (math.isfinite(train_mae) and math.isfinite(val_mae)) else
+                           None)
+                if failure:
+                    outcomes[k] = TrainingDivergedError(f"non-finite {failure} at epoch {epoch}",
+                                                        epoch=epoch)
+                    stays[i] = False
+                    continue
+                history[k].append(EpochStats(epoch, train_mae, val_mae))
+                if val_mae < best_val[k]:
+                    best_val[k] = val_mae
+                    best[k] = ([w.copy() for w in member_w], [b.copy() for b in member_b])
+                    stale[k] = 0
+                else:
+                    stale[k] += 1
+                    stays[i] = stale[k] < patience
+            stack = stack.keep(stays)
+            if not stack.members.size:
+                break
+
+    for k, cfg in enumerate(cfgs):
+        if outcomes[k] is None:
+            model = NetworkModel(arch, *best[k], seed=cfg.seed, epochs_run=len(history[k]),
+                                 val_mae=best_val[k])
+            outcomes[k] = (model, history[k])
+    return outcomes
+
+
+class _Stack:
+    """The parameters of the members still training, one row per member:
+    (K, in, out) weights, (K, out) biases and (K, 1, 1) learning rates."""
+
+    def __init__(self, members, weights, biases, rates):
+        self.members, self.weights, self.biases, self.rates = members, weights, biases, rates
+        # views in the forward's stacked layout, and the rates shaped for the biases
+        self.w_rows = [w[:, None] for w in weights]
+        self.b_rows = [b[:, None] for b in biases]
+        self.b_rates = rates[..., 0]
+
+    def keep(self, mask):
+        if mask.all():
+            return self
+        return _Stack(self.members[mask], [w[mask] for w in self.weights],
+                      [b[mask] for b in self.biases], self.rates[mask])
 
 
 @dataclass(frozen=True)
@@ -368,22 +442,28 @@ def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0):
     configuration is chosen for all of them; diverged runs are recorded as
     NaN and excluded from the mean but flagged in the ranking. Per-run seeds
     derive from (seed, config index), so results do not depend on run order.
+    Points that differ only in learning rate train in lockstep through
+    ``train_stack``, with the results of serial ``train`` runs.
     """
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
     points = grid.enumerate()
+    groups = {}
+    for idx, p in enumerate(points):
+        groups.setdefault((p.hidden, p.activation, p.batch_size), []).append(idx)
     rows = []
-    for idx, point in enumerate(points):
-        cfg = TrainConfig(point.learning_rate, point.batch_size, max_epochs, patience,
-                          seed=derive_seed(seed, "grid", idx))
-        arch = NetworkArch(point.hidden, point.activation)
+    for (hidden, activation, batch_size), members in groups.items():
+        arch = NetworkArch(hidden, activation)
+        cfgs = [TrainConfig(points[idx].learning_rate, batch_size, max_epochs, patience,
+                            seed=derive_seed(seed, "grid", idx)) for idx in members]
         for tag, train_set, val_set in datasets:
-            try:
-                model, _ = train(train_set, val_set, arch, cfg)
-                rows.append(GridRow(idx, point, tag, model.val_mae, model.epochs_run))
-            except TrainingDivergedError as exc:
-                rows.append(GridRow(idx, point, tag, math.nan, exc.epoch))
+            for idx, outcome in zip(members, train_stack(train_set, val_set, arch, cfgs)):
+                if isinstance(outcome, TrainingDivergedError):
+                    rows.append(GridRow(idx, points[idx], tag, math.nan, outcome.epoch))
+                else:
+                    rows.append(GridRow(idx, points[idx], tag, outcome[0].val_mae,
+                                        outcome[0].epochs_run))
     rows.sort(key=lambda row: (row.config_index, row.dataset))
 
     ranking = []
@@ -452,7 +532,7 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
     preds = np.empty(len(reps))
     for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
         preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
-    bins, dense = np.unique(np.floor(preds / bin_width_m).astype(np.int64), return_inverse=True)
+    bins, dense = np.unique(bin_index(preds, bin_width_m), return_inverse=True)
     table = np.full(d1.size, -1)
     table[valid] = dense
 

@@ -223,6 +223,29 @@ class TestCli:
         assert "probe.max_gray" in err and "probe.contrast_floor" in err
         assert not (out / "probe.csv").exists()
 
+    @pytest.mark.parametrize("case", ["sample_range", "bin_width", "model_bias"])
+    def test_a_bin_outside_int64_is_a_computation_error(self, tmp_path, capsys, case):
+        # in-process: a numpy RuntimeWarning here fails the test (pyproject filterwarnings)
+        samples = tmp_path / "samples.csv"
+        r = 1e300 if case == "sample_range" else 50.0
+        samples.write_text(f"s1,s2,s3,r\n10,100,30,50.0\n10,100,30,{r!r}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eval.bin_width_m = 1e-300\n" if case == "bin_width"
+                       else "probe.max_gray = 20\n")
+        out = tmp_path / "out"
+        if case == "model_bias":  # a linear model predicting a finite 1e300 m everywhere
+            model = init_params(NetworkArch((), "relu"), seed=0)
+            model.biases[0][:] = 1e300
+            save_model(model, tmp_path / "model.txt")
+            argv = ["probe", "--model", str(tmp_path / "model.txt")]
+        else:
+            argv = ["eval", "--input", str(samples), "--baseline"]
+        assert main(["--config", str(cfg), "--out", str(out), *argv]) == 4
+        value, width = {"sample_range": ("1e+300", "5.0"), "bin_width": ("50.0", "1e-300"),
+                        "model_bias": ("1e+300", "1.0")}[case]
+        assert f"error: {value} has no bin of width {width}:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, count", [
         ("predict", "1 of 1"), ("eval", "1 of 1"), ("depthmap", "16 of 16"), ("probe", None)],
         ids=["predict", "eval", "depthmap", "probe"])
@@ -418,6 +441,22 @@ class TestCli:
         assert f"argument {flag}:" in err
         if flag == "--variants":
             assert "unknown dataset variant 'nope'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, repeat", [
+        ("--learning-rates", "0.01,1e-2", "'1e-2' repeats '0.01'"),
+        ("--batch-sizes", "16,32,16", "'16' repeats '16'"),
+        ("--architectures", "40,40", "'40' repeats '40'"),
+        ("--activations", "relu,RELU", "'RELU' repeats 'relu'"),
+        ("--variants", "dataset2,dataset3, dataset2", "'dataset2' repeats 'dataset2'"),
+    ])
+    def test_repeated_list_value_is_a_usage_error_before_any_data_is_read(self, tmp_path, capsys,
+                                                                          flag, value, repeat):
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(tmp_path / "o"), "gridsearch", flag, value,
+                  "--input", str(tmp_path / "missing.csv")])  # reading it would exit 3
+        assert info.value.code == 2
+        assert f"argument {flag}: {repeat}; give each value once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated", "pgm_16bit"])

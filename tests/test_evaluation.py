@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gatedepth.estimators import baseline_estimate_batch, build_section_table
 from gatedepth.evaluation import (
     DepthMap,
+    bin_index,
     binned_mae,
     compare_estimators,
     read_depth_pgm,
@@ -49,6 +51,18 @@ class TestBinnedMae:
             binned_mae([], [], 5.0)
         with pytest.raises(ValueError):
             binned_mae([1.0], [1.0, 2.0], 5.0)
+
+    def test_bin_index_floors(self):
+        np.testing.assert_array_equal(bin_index([0.0, 4.99, 5.0, -0.1], 5.0), [0, 0, 1, -1])
+        np.testing.assert_array_equal(bin_index([2.0**62, -2.0**63], 1.0), [2**62, -2**63])
+
+    @pytest.mark.parametrize("values, width", [
+        ([10.0, 1e300], 5.0), ([50.0], 1e-300), ([-1e300], 1.0), ([np.inf], 1.0), ([np.nan], 1.0),
+        ([2.0**63], 1.0)])
+    def test_bin_index_outside_int64_is_rejected(self, values, width):
+        message = f"{values[-1]!r} has no bin of width {width!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bin_index(values, width)
 
     def test_csv_output(self, tmp_path):
         out = binned_mae([30.0], [28.0], 5.0)

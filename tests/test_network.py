@@ -22,6 +22,7 @@ from gatedepth.network import (
     probe_learned_function,
     save_model,
     train,
+    train_stack,
     valid_probe_triples,
 )
 from gatedepth.pipeline import standardize_batch
@@ -247,6 +248,122 @@ class TestTrain:
                   NetworkArch((4,), "relu"), TrainConfig(0.01, 4))
 
 
+def serial_reference(train_xy, val_xy, arch, cfg):
+    """The SGD loop written out serially on the 2-D public ``forward`` and
+    ``backward``: an oracle for ``train`` that does not go through the stack.
+    Returns ``(model, history)`` or the ``TrainingDivergedError``."""
+    (x, y), (x_val, y_val) = train_xy, val_xy
+    model = init_params(arch, cfg.seed)
+    shuffle = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
+    best, best_val, stale, history = None, math.inf, 0, []
+
+    def diverged(what, epoch):
+        return TrainingDivergedError(f"non-finite {what} at epoch {epoch}", epoch=epoch)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = shuffle.permutation(len(y))
+            losses = []
+            for start in range(0, len(y), cfg.batch_size):
+                sel = order[start:start + cfg.batch_size]
+                xb, yb = x[sel], y[sel]
+                try:
+                    pred = forward(model, xb)
+                except ValueError:
+                    return diverged("forward pass", epoch)
+                losses.append(float(np.mean(np.abs(pred - yb))))
+                grads_w, grads_b = backward(model, xb, yb)
+                for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+                    w -= cfg.learning_rate * gw
+                    b -= cfg.learning_rate * gb
+            try:
+                val_mae = float(np.mean(np.abs(forward(model, x_val) - y_val)))
+            except ValueError:
+                return diverged("validation pass", epoch)
+            train_mae = float(np.mean(losses))
+            if not (math.isfinite(train_mae) and math.isfinite(val_mae)):
+                return diverged("loss", epoch)
+            history.append((epoch, train_mae, val_mae))
+            if val_mae < best_val:
+                best_val, stale = val_mae, 0
+                best = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
+    return NetworkModel(arch, *best, seed=cfg.seed, epochs_run=len(history),
+                        val_mae=best_val), history
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, TrainingDivergedError):
+        assert isinstance(got, TrainingDivergedError), got
+        assert (str(got), got.epoch) == (str(want), want.epoch)
+        return
+    assert not isinstance(got, TrainingDivergedError), got
+    (model, history), (ref, ref_history) = got, want
+    assert [tuple(h) for h in history] == ref_history
+    assert (model.val_mae, model.epochs_run, model.seed) == (ref.val_mae, ref.epochs_run, ref.seed)
+    for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def assert_stack_matches_solo_runs(train_xy, val_xy, arch, cfgs):
+    """Every ``train_stack`` member, and every solo ``train`` run, equals the
+    serial reference bit for bit; returns the stack's outcomes."""
+    outcomes = train_stack(train_xy, val_xy, arch, cfgs)
+    assert len(outcomes) == len(cfgs)
+    for cfg, outcome in zip(cfgs, outcomes):
+        want = serial_reference(train_xy, val_xy, arch, cfg)
+        assert_same_outcome(outcome, want)
+        try:
+            solo = train(train_xy, val_xy, arch, cfg)
+        except TrainingDivergedError as exc:
+            solo = exc
+        assert_same_outcome(solo, want)
+    return outcomes
+
+
+class TestStackedTraining:
+    """``train_stack`` trains K members in lockstep as one (K, ...) parameter
+    stack; each member, and each solo ``train`` run (the one-member stack),
+    must come out exactly as the serial 2-D reference loop. That rests on
+    stacked matmuls rounding like 2-D ones, a property of numpy and its BLAS
+    that this pins."""
+
+    # 136 training rows: none of the batch sizes divides them, so every epoch
+    # ends on a partial batch.
+    @settings(max_examples=40, deadline=None)
+    @given(activation=st.sampled_from(["relu", "tanh", "sigmoid"]),
+           hidden=st.sampled_from([(4,), (6, 3), (40, 20, 10, 5)]),
+           batch=st.sampled_from([7, 16, 50]),
+           rates=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.3, 1e9]),
+                          min_size=1, max_size=4),
+           patience=st.integers(1, 2),
+           seed=st.integers(0, 2**20))
+    def test_every_member_matches_its_solo_run(self, activation, hidden, batch, rates, patience,
+                                               seed):
+        train_xy, val_xy = tiny_problem(n=200, seed=seed % 7)
+        cfgs = [TrainConfig(lr, batch, max_epochs=4, patience=patience, seed=seed + i)
+                for i, lr in enumerate(rates)]
+        assert_stack_matches_solo_runs(train_xy, val_xy, NetworkArch(hidden, activation), cfgs)
+
+    def test_early_stops_and_a_divergence_leave_the_others_unchanged(self):
+        train_xy, val_xy = tiny_problem(n=512, seed=9)
+        cfgs = [TrainConfig(lr, 16, max_epochs=8, patience=2, seed=2 + i)
+                for i, lr in enumerate((0.0, 1e9, 0.05, 0.001))]
+        outcomes = assert_stack_matches_solo_runs(train_xy, val_xy, NetworkArch((12,)), cfgs)
+        assert isinstance(outcomes[1], TrainingDivergedError)
+        stopped = [outcomes[i][0].epochs_run for i in (0, 2, 3)]
+        assert len(set(stopped)) > 1 and min(stopped) < 8  # members stop at different epochs
+
+    def test_members_must_share_the_loop_settings(self):
+        train_xy, val_xy = tiny_problem()
+        with pytest.raises(ValueError, match="batch size"):
+            train_stack(train_xy, val_xy, NetworkArch((4,)),
+                        [TrainConfig(0.01, 16), TrainConfig(0.01, 32)])
+
+
 class TestGrid:
     def test_default_grid_cardinality(self):
         grid = GridSpec.default_grid()
@@ -279,15 +396,17 @@ class TestGrid:
         grid = GridSpec((0.1, 0.2), (16,), ((4,),), ("relu",))
         points = grid.enumerate()
 
-        def fake_train(train_xy, val_xy, arch, cfg):
-            idx = next(i for i, p in enumerate(points)
-                       if p.learning_rate == cfg.learning_rate)
-            model = init_params(arch, 0)
-            model.val_mae = scripted[(idx, train_xy[1])]
-            model.epochs_run = 1
-            return model, []
+        def fake_train_stack(train_xy, val_xy, arch, cfgs):
+            outcomes = []
+            for cfg in cfgs:
+                idx = next(i for i, p in enumerate(points) if p.learning_rate == cfg.learning_rate)
+                model = init_params(arch, 0)
+                model.val_mae = scripted[(idx, train_xy[1])]
+                model.epochs_run = 1
+                outcomes.append((model, []))
+            return outcomes
 
-        monkeypatch.setattr(net, "train", fake_train)
+        monkeypatch.setattr(net, "train_stack", fake_train_stack)
         dummy = (np.zeros((1, 3)), "a")
         dummy_b = (np.zeros((1, 3)), "b")
         result = net.grid_search([("a", dummy, dummy), ("b", dummy_b, dummy_b)], grid)
