@@ -12,6 +12,7 @@ seed. Prediction uses the dataset prefilter's validity screen.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -361,7 +362,9 @@ class _Stack:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter grid: the cartesian product of the four axes."""
+    """Hyperparameter grid: the cartesian product of the four axes. Layouts
+    become tuples and activations lowercase; a value repeated on an axis is a
+    ``ValueError`` naming the axis and both spellings."""
 
     learning_rates: tuple
     batch_sizes: tuple
@@ -369,8 +372,16 @@ class GridSpec:
     activations: tuple
 
     def __post_init__(self):
+        given = self.axes
+        object.__setattr__(self, "hidden_layouts", tuple(tuple(h) for h in self.hidden_layouts))
+        object.__setattr__(self, "activations", tuple(str(a).lower() for a in self.activations))
         if not all(self.axes):
             raise ValueError("every grid axis needs at least one value")
+        for axis, spelled, values in zip(dataclasses.fields(self), given, self.axes):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"grid axis {axis.name}: {spelled[i]!r} repeats "
+                                     f"{spelled[values.index(value)]!r}; give each value once")
 
     @classmethod
     def default_grid(cls):
@@ -588,12 +599,14 @@ def load_model(path) -> NetworkModel:
             name, _, value = lines[pos].partition(" ")
             if name != key:
                 raise DataFormatError(f"{path}: expected {key!r} on line {pos + 1}")
+            if key == "epochs" and int(value) < 0:
+                raise DataFormatError(f"{path}: negative epochs {value} on line {pos + 1}")
             fields[key] = value
             pos += 1
         hidden = () if fields["hidden"].strip() == "-" else tuple(int(v) for v in fields["hidden"].split())
         arch = NetworkArch(hidden, fields["activation"])
         weights, biases = [], []
-        while pos < len(lines) and lines[pos]:
+        while pos < len(lines) and lines[pos].strip():
             tag, n_in, n_out = lines[pos].split()
             if tag != "layer":
                 raise DataFormatError(f"{path}: expected layer header on line {pos + 1}")
@@ -607,6 +620,9 @@ def load_model(path) -> NetworkModel:
             pos += 1
             weights.append(np.vstack(rows).reshape(n_in, n_out))
             biases.append(bias)
+        for extra in range(pos, len(lines)):
+            if lines[extra].strip():
+                raise DataFormatError(f"{path}: unexpected line {extra + 1} after the last layer")
         model = NetworkModel(arch, weights, biases, seed=int(fields["seed"]),
                              epochs_run=int(fields["epochs"]), val_mae=float(fields["val_mae"]))
     except DataFormatError:

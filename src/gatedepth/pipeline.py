@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -29,6 +31,13 @@ SATURATION_LIMIT = 250
 CONTRAST_FLOOR = 6
 
 SAMPLE_HEADER = ("s1", "s2", "s3", "r")
+
+# The fast path's view of a sample-file body: each byte of a plain number
+# becomes "0", commas and line breaks stay, every other byte becomes "?".
+_PLAIN_SHAPE = bytes(ord("0") if c in b"0123456789.+-eE" else c if c in b",\r\n" else ord("?")
+                     for c in range(256))
+_ROW_DTYPE = np.dtype([("triple", "i8", (3,)), ("r", "f8")])
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,8 @@ class RawDataset:
     r: np.ndarray
 
     def __post_init__(self):
-        self.triples = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
-        self.r = np.asarray(self.r, dtype=float).reshape(-1)
+        self.triples = np.ascontiguousarray(self.triples, dtype=np.int64).reshape(-1, 3)
+        self.r = np.ascontiguousarray(self.r, dtype=float).reshape(-1)
         if len(self.triples) != len(self.r):
             raise ValueError(f"{len(self.triples)} triples but {len(self.r)} ranges")
 
@@ -106,8 +115,68 @@ def _check_row(path, lineno, row):
         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _bad_rows(data: RawDataset):
+    """The row mask of samples the ``Sample`` rule rejects."""
+    return ((data.triples < 0) | (data.triples > 255)).any(axis=1) | ~(np.isfinite(data.r) & (data.r > 0))
+
+
 def load_samples(path) -> RawDataset:
-    """Load a ``s1,s2,s3,r`` CSV file, reporting bad rows by line number."""
+    """Load a ``s1,s2,s3,r`` CSV file, reporting bad rows by line number.
+
+    A file of plain numbers is parsed in one C pass; any other file, and any
+    file with a bad row, goes through the per-row reader. Both accept the
+    same files and give the same values; only the per-row reader names lines.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = _load_plain(fh)
+    except OSError:
+        data = None  # the per-row reader reports it
+    return _load_samples_per_row(path) if data is None else data
+
+
+def _load_plain(fh):
+    """The dataset in a binary sample file, or ``None`` unless the file is
+    plain and every value is in range."""
+    start = _plain_body_start(fh.read())
+    if start is None:
+        return None
+    fh.seek(start)
+    try:
+        rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None, quotechar=None,
+                          ndmin=1)
+    except ValueError:
+        return None
+    data = RawDataset(rows["triple"], rows["r"])
+    return None if _bad_rows(data).any() else data
+
+
+def _plain_body_start(raw):
+    """Where the rows start in a sample file's bytes, or ``None`` unless they
+    are plain: the header line, then ``[0-9.+-eE]`` fields split by commas and
+    line breaks, at least one of them not empty.
+
+    On plain bytes ``np.loadtxt`` and ``int``/``float`` agree value for value
+    and reject the same rows. Elsewhere they part: loadtxt reads ``10\\x1c``
+    as 10 and rejects ``1_0``, ``٣`` and quoted fields; ``int`` and ``csv``
+    reject fields beyond Python's digit and field-size limits.
+    """
+    start = _FIRST_LINE.match(raw).end()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    longest = min(csv.field_size_limit(), digits or sys.maxsize)
+    if (tuple(f.strip() for f in raw[:start].split(b",")) != tuple(h.encode() for h in SAMPLE_HEADER)
+            or start > longest):
+        return None
+    shape = raw.translate(_PLAIN_SHAPE)
+    if (shape.find(b"0", start) < 0 or shape.find(b"?", start) >= 0
+            or shape.find(b"0" * (longest + 1), start) >= 0):
+        return None  # no data rows, a byte that is not plain, or a field too long
+    return start
+
+
+def _load_samples_per_row(path) -> RawDataset:
+    """``load_samples`` one row at a time through ``csv``, ``int`` and ``float``;
+    errors name the file and the line of the first bad row."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -146,7 +215,7 @@ def load_samples(path) -> RawDataset:
     if not ranges:
         raise DataFormatError(f"{path}: no data rows")
     data = RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges))
-    bad = ((data.triples < 0) | (data.triples > 255)).any(axis=1) | ~(np.isfinite(data.r) & (data.r > 0))
+    bad = _bad_rows(data)
     if bad.any():
         i = int(bad.argmax())
         _check_row(path, i + 2 + bisect_right(blanks, i), (*data.triples[i].tolist(), float(data.r[i])))

@@ -459,7 +459,8 @@ class TestCli:
         assert f"argument {flag}: {repeat}; give each value once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated", "pgm_16bit"])
+    @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated", "pgm_16bit",
+                                      "model_trailing", "model_negative_epochs"])
     def test_malformed_file_is_an_io_error_naming_it(self, tmp_path, capsys, model_file, case):
         from gatedepth.pgmio import write_pgm
 
@@ -469,9 +470,15 @@ class TestCli:
                                     dtype=np.uint16 if i == 2 and case == "pgm_16bit" else np.uint8))
         slices = ["--slice1", str(paths[0]), "--slice2", str(paths[1]), "--slice3", str(paths[2])]
         model = []
+        lines = model_file.read_text().splitlines(keepends=True)
         if case == "model_truncated":
-            lines = model_file.read_text().splitlines(keepends=True)
             model_file.write_text("".join(lines[:9]))
+        elif case == "model_trailing":  # a second layer after a blank line
+            model_file.write_text("".join(lines) + "\nlayer 4 1\ngarbage\n")
+        elif case == "model_negative_epochs":
+            assert lines[4].startswith("epochs ")
+            model_file.write_text("".join([*lines[:4], "epochs -7\n", *lines[5:]]))
+        if case.startswith("model_"):
             model = ["--model", str(model_file)]
         assert main(["--out", str(tmp_path / "o"), "depthmap", *model, *slices]) == 3
         err = capsys.readouterr().err
@@ -481,8 +488,13 @@ class TestCli:
         elif case == "pgm_16bit":
             assert "must be 8-bit PGM" in err and str(paths[2]) in err
             assert str(paths[0]) not in err and str(paths[1]) not in err
-        else:
+        elif case == "model_truncated":
             assert f"{model_file}: model file ends early, after line 9" in err
+        elif case == "model_trailing":
+            assert f"{model_file}: unexpected line {len(lines) + 2} after the last layer" in err
+        else:
+            assert f"{model_file}: negative epochs -7 on line 5" in err
+        assert not (tmp_path / "o" / "depth.pgm").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_non_positive_pgm_size_is_an_io_error(self, tmp_path):

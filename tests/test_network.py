@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gatedepth.errors import TrainingDivergedError
 from gatedepth.network import (
+    GridPoint,
     GridSpec,
     NetworkArch,
     NetworkModel,
@@ -369,6 +371,22 @@ class TestGrid:
         grid = GridSpec.default_grid()
         assert len(grid) == 720
         assert len(grid.enumerate()) == 3 * 8 * 10 * 3
+
+    @pytest.mark.parametrize("axes, message", [
+        (((0.01, 0.01), (16,), ((4,),), ("relu",)), "learning_rates: 0.01 repeats 0.01"),
+        (((0.01,), (16, 8, 16), ((4,),), ("relu",)), "batch_sizes: 16 repeats 16"),
+        (((0.01,), (16,), ((4,), [4]), ("relu",)), "hidden_layouts: [4] repeats (4,)"),
+        (((0.01,), (16,), ((4,),), ("relu", "RELU")), "activations: 'RELU' repeats 'relu'"),
+    ])
+    def test_repeated_axis_value_is_rejected(self, axes, message):
+        with pytest.raises(ValueError, match=re.escape(f"grid axis {message}; give each value once")):
+            GridSpec(*axes)
+
+    def test_spellings_are_normalized(self):
+        grid = GridSpec((0.01,), (16,), ([4, 2],), ("ReLU", "tanh"))
+        assert grid.hidden_layouts == ((4, 2),) and grid.activations == ("relu", "tanh")
+        assert grid.enumerate() == [GridPoint(0.01, 16, (4, 2), "relu"),
+                                    GridPoint(0.01, 16, (4, 2), "tanh")]
 
     def test_single_point_grid_is_best(self):
         train_xy, val_xy = tiny_problem(n=256)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatedepth import pipeline
 from gatedepth.errors import DataFormatError, DegenerateSampleError
 from gatedepth.pipeline import (
     CONTRAST_FLOOR,
@@ -85,6 +86,130 @@ class TestLoadSave:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_samples(tmp_path / "nope.csv")
+
+
+def _outcome(load, path):
+    """A loader's result as bytes, or its error message."""
+    try:
+        data = load(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return (data.triples.dtype.str, data.triples.shape, data.triples.tobytes(),
+            data.r.dtype.str, data.r.tobytes())
+
+
+_gray_text = st.integers(0, 255).map(str)
+_range_text = st.floats(min_value=5e-324, allow_infinity=False).map(repr)
+_rows_text = st.lists(st.tuples(_gray_text, _gray_text, _gray_text, _range_text).map(list),
+                      max_size=8)
+# Odd spellings. The plain ones hold only digits, signs, points and exponents,
+# the bytes the one-pass parser takes; ``int``, ``float`` or the range check
+# reject most of them. Of the others, np.loadtxt reads 10\x1c as 10.
+_PLAIN_INTS = ["+7", "-0", "007", "000", "256", "-1", "1.0", "1e2", "+-1", "-", "",
+               "99999999999999999999", "9223372036854775808", "0" * 5000 + "1", "0" * 4299 + "1"]
+_OTHER_INTS = [" 12", "12 ", "\t9", "1_0", "\u0663", '"12"', "10\x1c", "x"]
+_PLAIN_RANGES = ["1e400", "0", "-0.0", "1e-400", "-3", "1e", ".", "e5", "", "+.5e1", "5.", "1E5"]
+_OTHER_RANGES = ["nan", "inf", "-inf", " 2.5", "1_0.5", "\u0663", '"2.5"', "2.5\x1c", "Infinity"]
+_PLAIN_LINES = ["", "1,2,3", "1,2,3,4.0,5", "10,20,30,4.0,", ",,,"]
+_OTHER_LINES = ["   ", "#10,20,30,4.0", '"10,20",30,4.0', "10;20;30;4.0"]
+_HEADERS = [" s1 , s2,s3,r ", "s1,s2,s3,r,", '"s1",s2,s3,r', "s1,s2,s3", "a,b,c,d", "\x1cs1,s2,s3,r"]
+
+
+@st.composite
+def _sample_files(draw):
+    """Sample-file bytes: valid rows with up to three edits that put an odd
+    field, line or header in, any line break, and, unless the file keeps to
+    the one-pass bytes, maybe a byte that is not UTF-8."""
+    plain = draw(st.booleans())
+    ints, ranges, lines = _PLAIN_INTS, _PLAIN_RANGES, _PLAIN_LINES
+    if not plain:
+        ints, ranges, lines = ints + _OTHER_INTS, ranges + _OTHER_RANGES, lines + _OTHER_LINES
+    rows = draw(_rows_text)
+    text = [",".join(row) for row in rows]
+    header = "s1,s2,s3,r"
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["field", "field", "line", "header"]))
+        if kind == "header":
+            header = draw(st.sampled_from(_HEADERS))
+        elif kind == "line" or not rows:
+            text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(lines)))
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, 3))
+            rows[i][j] = draw(st.sampled_from(ranges if j == 3 else ints))
+            text = [",".join(row) for row in rows]
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    raw = (end.join([header, *text]) + draw(st.sampled_from([end, ""]))).encode("utf-8")
+    if not plain and draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x80"])) + raw[at:]
+    return raw
+
+
+class TestOnePassLoad:
+    """``load_samples`` parses plain files in one C pass; it must accept the
+    same files, give the same values and raise the same errors as the
+    per-row reader."""
+
+    @staticmethod
+    def assert_same_outcome(path, raw):
+        path.write_bytes(raw)
+        assert _outcome(load_samples, path) == _outcome(pipeline._load_samples_per_row, path), raw
+
+    @given(_sample_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_row_reader(self, tmp_path_factory, raw):
+        self.assert_same_outcome(tmp_path_factory.getbasetemp() / "property.csv", raw)
+
+    @given(_rows_text.filter(bool), st.sampled_from(["\n", "\r\n"]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_each_odd_spelling_matches_the_per_row_reader(self, tmp_path_factory, rows, end,
+                                                          data):
+        path = tmp_path_factory.getbasetemp() / "spelling.csv"
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        j = data.draw(st.integers(0, 2), label="gray column")
+        text = [",".join(row) for row in rows]
+
+        def check(header, lines):
+            self.assert_same_outcome(path, (end.join([header, *lines]) + end).encode("utf-8"))
+
+        for col, fields in ((j, _PLAIN_INTS + _OTHER_INTS), (3, _PLAIN_RANGES + _OTHER_RANGES)):
+            for field in fields:
+                row = [*rows[i][:col], field, *rows[i][col + 1:]]
+                check("s1,s2,s3,r", [*text[:i], ",".join(row), *text[i + 1:]])
+        for line in _PLAIN_LINES + _OTHER_LINES:
+            check("s1,s2,s3,r", [*text[:i], line, *text[i:]])
+        for header in _HEADERS:
+            check(header, text)
+
+    @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255),
+                              st.floats(min_value=5e-324, allow_infinity=False)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_saved_samples_load_bit_for_bit_in_one_pass(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+        original = ds(rows)
+        save_samples(original, path)
+        assert pipeline._plain_body_start(path.read_bytes()) is not None
+        loaded = load_samples(path)
+        assert loaded.triples.tobytes() == original.triples.tobytes()
+        assert loaded.r.tobytes() == original.r.tobytes()
+        assert loaded.triples.flags.c_contiguous and loaded.r.flags.c_contiguous
+
+    @pytest.mark.parametrize("field", ["10\x1c", "0" * 5000 + "10"], ids=["x1c", "5002_digits"])
+    def test_a_field_numpy_would_read_is_still_rejected(self, tmp_path, field):
+        # np.loadtxt reads both as 10; int() rejects a trailing \x1c and more
+        # than 4300 digits
+        path = tmp_path / "odd.csv"
+        path.write_text(f"s1,s2,s3,r\n10,20,30,5.0\n{field},20,30,5.0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=":3: non-numeric field"):
+            load_samples(path)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661\u0660", '"10"', " 10 ", "+10", "010"])
+    def test_a_spelling_int_accepts_loads_as_before(self, tmp_path, field):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"s1,s2,s3,r\n{field},20,30,5.0\n", encoding="utf-8")
+        assert load_samples(path) == ds([(10, 20, 30, 5.0)])
 
 
 class TestPrefilter:
