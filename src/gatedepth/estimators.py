@@ -192,8 +192,6 @@ def build_section_table(slices) -> SectionTable:
             b = a + 1
             if behaviors[a] == DARK or behaviors[b] == DARK:
                 continue
-            if behaviors[a] == PLATEAU and behaviors[b] == PLATEAU:
-                continue
             line_a = _overlap_line(slices[a], behaviors[a])
             line_b = _overlap_line(slices[b], behaviors[b])
             if not _informative(line_a, line_b):

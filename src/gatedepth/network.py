@@ -440,9 +440,8 @@ class GridSearchResult:
             for row in self.rows:
                 p = row.point
                 arch = "-".join(str(w) for w in p.hidden)
-                mae = repr(row.val_mae) if math.isfinite(row.val_mae) else "nan"
                 fh.write(f"{p.learning_rate!r},{p.batch_size},{arch},{p.activation},"
-                         f"{row.dataset},{mae},{row.epochs}\n")
+                         f"{row.dataset},{row.val_mae!r},{row.epochs}\n")
 
 
 def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0):

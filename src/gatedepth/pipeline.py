@@ -7,7 +7,9 @@ pipeline: a prefilter removes saturated and unilluminated triples, optional
 per-triple range filtering condenses repeated triples, and per-sample
 standardization makes the regression input invariant to reflectance and
 overall illumination scale. ``screen_triples`` is the one validity screen:
-the prefilter, its counts and both depth predictors use it.
+the prefilter, its counts and both depth predictors use it. ``load_samples``
+parses a plain sample file in one C pass; any other file, and any file with
+a bad row, is read row by row and its first bad row named by line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import re
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 
@@ -50,12 +51,9 @@ class Sample:
     r: float
 
     def __post_init__(self):
-        for name in ("s1", "s2", "s3"):
-            v = getattr(self, name)
-            if not (0 <= v <= 255):
-                raise ValueError(f"{name}={v} outside the 8-bit range 0..255")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"range must be positive and finite, got {self.r!r}")
+        message = _sample_fault(self.s1, self.s2, self.s3, self.r)
+        if message:
+            raise ValueError(message)
 
     @property
     def triple(self):
@@ -107,12 +105,14 @@ def screen_triples(values):
     return saturated, low_contrast, usable
 
 
-def _check_row(path, lineno, row):
-    """Raise the ``Sample`` rule's message for a bad row, naming its line."""
-    try:
-        Sample(*row)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+def _sample_fault(s1, s2, s3, r):
+    """The ``Sample`` rule: what is wrong with a row, or ``None``."""
+    for name, v in (("s1", s1), ("s2", s2), ("s3", s3)):
+        if not (0 <= v <= 255):
+            return f"{name}={v} outside the 8-bit range 0..255"
+    if not (math.isfinite(r) and r > 0):
+        return f"range must be positive and finite, got {r!r}"
+    return None
 
 
 def _bad_rows(data: RawDataset):
@@ -175,51 +175,47 @@ def _plain_body_start(raw):
 
 
 def _load_samples_per_row(path) -> RawDataset:
-    """``load_samples`` one row at a time through ``csv``, ``int`` and ``float``;
-    errors name the file and the line of the first bad row."""
+    """``load_samples`` one row at a time through ``csv``, ``int`` and ``float``:
+    each row is parsed, checked and kept in file order, so an error names the
+    file and the line (csv record) of the first bad row."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot open sample file {path}: {exc}") from exc
     triples, ranges = array("q"), array("d")
-    blanks = []  # data-row count at each blank line, to map rows back to lines
+    lineno = 0  # the last record read
     with fh:
         try:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(f"{path}: file is empty") from None
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: file is empty")
+            lineno = 1
             if tuple(h.strip() for h in header) != SAMPLE_HEADER:
                 raise DataFormatError(
                     f"{path}:1: expected header {','.join(SAMPLE_HEADER)}, got {','.join(header)}"
                 )
             for lineno, row in enumerate(reader, start=2):
                 if not row:
-                    blanks.append(len(ranges))
                     continue
                 if len(row) != 4:
                     raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
                 try:
-                    s1, s2, s3 = (int(v) for v in row[:3])
-                    r = float(row[3])
+                    s1, s2, s3, r = int(row[0]), int(row[1]), int(row[2]), float(row[3])
                 except ValueError as exc:
                     raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-                try:
-                    triples.extend((s1, s2, s3))
-                except OverflowError:  # beyond int64, so certainly outside 0..255
-                    _check_row(path, lineno, (s1, s2, s3, r))
+                message = _sample_fault(s1, s2, s3, r)
+                if message:
+                    raise DataFormatError(f"{path}:{lineno}: {message}")
+                triples.extend((s1, s2, s3))
                 ranges.append(r)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
     if not ranges:
         raise DataFormatError(f"{path}: no data rows")
-    data = RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges))
-    bad = _bad_rows(data)
-    if bad.any():
-        i = int(bad.argmax())
-        _check_row(path, i + 2 + bisect_right(blanks, i), (*data.triples[i].tolist(), float(data.r[i])))
-    return data
+    return RawDataset(np.frombuffer(triples, dtype=np.int64), np.frombuffer(ranges))
 
 
 def save_samples(data: RawDataset, path):

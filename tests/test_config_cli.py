@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gatedepth
 from gatedepth.cli import _COMMANDS, build_parser, main
@@ -92,6 +96,37 @@ def model_file(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     return path
+
+
+# One bad line of each kind: a wrong field count, a non-numeric field (one
+# split by a quoted newline), a field over csv's size limit, a gray value
+# outside 0..255 (one beyond int64) and a range that is not positive and finite.
+_SWEEP_BAD_LINES = ["10,20,30", "10,20,30,5.0,1", "   ", "10,x,30,5.0", '10,"2\n0",30,5.0',
+                    "10,20,30," + "0" * 200_000 + "5.0", "256,20,30,5.0", "10,-1,30,5.0",
+                    "10,20,99999999999999999999,5.0", "10,20,30,0", "10,20,30,-2.5",
+                    "10,20,30,nan", "10,20,30,inf"]
+
+
+@st.composite
+def _malformed_sample_files(draw):
+    """Sample-file bytes that no reader accepts: empty, a header alone, valid
+    rows around one bad line, or such a file with a byte that is not UTF-8."""
+    kind = draw(st.sampled_from(["empty", "header_only", "bad_line", "not_utf8"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if kind == "empty":
+        return b""
+    if kind == "header_only":
+        return ("s1,s2,s3,r" + draw(st.sampled_from([end, ""]))).encode()
+    row = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255),
+                    st.floats(0.5, 150.0)).map(lambda t: f"{t[0]},{t[1]},{t[2]},{t[3]!r}")
+    lines = draw(st.lists(row, max_size=5))
+    if kind == "bad_line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_SWEEP_BAD_LINES)))
+    raw = end.join(["s1,s2,s3,r", *lines, ""]).encode()
+    if kind == "not_utf8":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x80"])) + raw[at:]
+    return raw
 
 
 class TestCli:
@@ -460,7 +495,8 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", ["pgm_sizes_differ", "model_truncated", "pgm_16bit",
-                                      "model_trailing", "model_negative_epochs"])
+                                      "model_trailing", "model_negative_epochs",
+                                      "samples_long_field"])
     def test_malformed_file_is_an_io_error_naming_it(self, tmp_path, capsys, model_file, case):
         from gatedepth.pgmio import write_pgm
 
@@ -480,9 +516,17 @@ class TestCli:
             model_file.write_text("".join([*lines[:4], "epochs -7\n", *lines[5:]]))
         if case.startswith("model_"):
             model = ["--model", str(model_file)]
-        assert main(["--out", str(tmp_path / "o"), "depthmap", *model, *slices]) == 3
+        argv = ["depthmap", *model, *slices]
+        if case == "samples_long_field":  # a field over csv's 131,072-character limit
+            long = tmp_path / "long.csv"
+            long.write_text(f"s1,s2,s3,r\n10,20,30,{'0' * 200_000}5.0\n")
+            argv = ["train", "--input", str(long)]
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 3
         err = capsys.readouterr().err
-        if case == "pgm_sizes_differ":
+        if case == "samples_long_field":
+            assert f"{long}:2: field larger than field limit (131072)" in err
+            assert "Traceback" not in err
+        elif case == "pgm_sizes_differ":
             assert "share dimensions" in err and all(str(p) in err for p in paths)
             assert "s2.pgm is 5x4" in err
         elif case == "pgm_16bit":
@@ -495,6 +539,24 @@ class TestCli:
         else:
             assert f"{model_file}: negative epochs -7 on line 5" in err
         assert not (tmp_path / "o" / "depth.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "gridsearch", "predict", "eval"])
+    @given(raw=_malformed_sample_files())
+    @settings(max_examples=12, deadline=None)
+    def test_a_malformed_sample_file_is_an_io_error_naming_it(self, tmp_path_factory, command,
+                                                              raw):
+        base = tmp_path_factory.getbasetemp()
+        bad, model = base / "malformed.csv", base / "sweep_model.txt"
+        bad.write_bytes(raw)
+        if not model.exists():
+            save_model(init_params(NetworkArch((4,), "relu"), seed=1), model)
+        extra = {"predict": ["--model", str(model)], "eval": ["--baseline"]}.get(command, [])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--out", str(base / "sweep_out"), command, *extra, "--input", str(bad)])
+        assert code == 3, err.getvalue()
+        assert str(bad) in err.getvalue()
+        assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
 
     @pytest.mark.filterwarnings("error")
     def test_non_positive_pgm_size_is_an_io_error(self, tmp_path):

@@ -88,6 +88,88 @@ class TestLoadSave:
             load_samples(tmp_path / "nope.csv")
 
 
+_gray_text = st.integers(0, 255).map(str)
+_range_text = st.floats(min_value=5e-324, allow_infinity=False).map(repr)
+_row_fields = st.tuples(_gray_text, _gray_text, _gray_text, _range_text)
+# Lines of each bad kind: a wrong field count (a line of spaces is one field),
+# or one bad field among valid ones: non-numeric, a gray value outside 0..255
+# (some beyond int64) or a range that is not positive and finite.
+_BAD_LINES = ["1,2,3", "10,20,30,4.0,5", "   ", ",,"]
+_BAD_GRAYS = ["256", "-1", "99999999999999999999", "-9223372036854775809", "x", "1.5", ""]
+_BAD_RANGES = ["0", "-0.0", "-2.5", "nan", "inf", "-inf", "1e400", "x", ""]
+
+
+@st.composite
+def _bad_line(draw):
+    kind = draw(st.sampled_from(["count", "gray", "range"]))
+    if kind == "count":
+        return draw(st.sampled_from(_BAD_LINES))
+    fields = list(draw(_row_fields))
+    col = draw(st.integers(0, 2)) if kind == "gray" else 3
+    fields[col] = draw(st.sampled_from(_BAD_GRAYS if kind == "gray" else _BAD_RANGES))
+    return ",".join(fields)
+
+
+@st.composite
+def _lines_with_bad_rows(draw):
+    """Data lines: valid rows and blank lines with two to four bad lines put in."""
+    lines = draw(st.lists(st.one_of(_row_fields.map(",".join), st.just("")), max_size=6))
+    for bad in draw(st.lists(_bad_line(), min_size=2, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+def _first_fault(lines):
+    """The line number and message of the first bad data line, by the rules
+    the README documents; data lines start at line 2."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            return lineno, f"expected 4 fields, got {len(fields)}"
+        try:
+            grays, r = [int(f) for f in fields[:3]], float(fields[3])
+        except ValueError as exc:
+            return lineno, f"non-numeric field ({exc})"
+        for name, v in zip(("s1", "s2", "s3"), grays):
+            if not 0 <= v <= 255:
+                return lineno, f"{name}={v} outside the 8-bit range 0..255"
+        if not 0 < r < float("inf"):
+            return lineno, f"range must be positive and finite, got {r!r}"
+    return None
+
+
+class TestFirstBadRow:
+    """Both readers name the first bad row in file order, whatever follows it."""
+
+    @staticmethod
+    def assert_names(path, line, message):
+        for load in (load_samples, pipeline._load_samples_per_row):
+            with pytest.raises(DataFormatError) as info:
+                load(path)
+            assert str(info.value) == f"{path}:{line}: {message}", load.__name__
+
+    @given(_lines_with_bad_rows(), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=200, deadline=None)
+    def test_the_first_bad_row_is_named(self, tmp_path_factory, lines, end):
+        path = tmp_path_factory.getbasetemp() / "first_bad.csv"
+        path.write_bytes((end.join(["s1,s2,s3,r", *lines]) + end).encode("utf-8"))
+        self.assert_names(path, *_first_fault(lines))
+
+    @pytest.mark.parametrize("lines, line, message", [
+        (["10,20,30,5.0", "300,20,30,5.0", "10,20,30,5.0", "10,20,x,5.0"], 3,
+         "s1=300 outside the 8-bit range 0..255"),
+        (["10,20,30,-1", "10,20,99999999999999999999,5.0"], 2,
+         "range must be positive and finite, got -1.0"),
+    ], ids=["range_before_format", "range_before_int64_overflow"])
+    def test_a_value_error_before_a_later_fault(self, tmp_path, lines, line, message):
+        path = tmp_path / "two_bad.csv"
+        path.write_text("\n".join(["s1,s2,s3,r", *lines]) + "\n")
+        assert _first_fault(lines) == (line, message)
+        self.assert_names(path, line, message)
+
+
 def _outcome(load, path):
     """A loader's result as bytes, or its error message."""
     try:
@@ -98,10 +180,7 @@ def _outcome(load, path):
             data.r.dtype.str, data.r.tobytes())
 
 
-_gray_text = st.integers(0, 255).map(str)
-_range_text = st.floats(min_value=5e-324, allow_infinity=False).map(repr)
-_rows_text = st.lists(st.tuples(_gray_text, _gray_text, _gray_text, _range_text).map(list),
-                      max_size=8)
+_rows_text = st.lists(_row_fields.map(list), max_size=8)
 # Odd spellings. The plain ones hold only digits, signs, points and exponents,
 # the bytes the one-pass parser takes; ``int``, ``float`` or the range check
 # reject most of them. Of the others, np.loadtxt reads 10\x1c as 10.
