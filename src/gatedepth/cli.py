@@ -28,11 +28,11 @@ from .errors import ConfigError, DataFormatError, GatedDepthError
 from .estimators import baseline_estimate_batch, build_section_table
 from .evaluation import compare_estimators, render_depth_map
 from .gating import Atmosphere, rip, slice_support
-from .network import (GridSpec, NetworkArch, TrainConfig, grid_search, load_model,
+from .network import (EpochStats, GridSpec, NetworkArch, TrainConfig, grid_search, load_model,
                       predict_depth_batch, probe_learned_function, save_model, train)
 from .pgmio import read_pgm
 from .pipeline import (VARIANTS, build_dataset, load_samples, prefilter, prefilter_counts,
-                       save_samples, split, standardized_arrays, variant)
+                       save_samples, split, standardized_arrays, variant, write_table)
 from .scene import NoiseModel, SliceImageSet, UniformRange, generate_dataset
 
 USAGE_ERROR = 2
@@ -117,10 +117,7 @@ def _cmd_train(cfg: RunConfig, args, out: Path):
                      seed=cfg.stage_seed("train"))
     model, history = train(train_xy, val_xy, arch, tc)
     save_model(model, out / "model.txt")
-    with open(out / "history.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_mae,val_mae\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.train_mae!r},{row.val_mae!r}\n")
+    write_table(out / "history.csv", EpochStats._fields, zip(*history))
     print(f"best validation MAE {model.val_mae:.4f} m after {model.epochs_run} epochs")
 
 
@@ -158,11 +155,8 @@ def _cmd_predict(cfg: RunConfig, args, out: Path):
     model = load_model(args.model)
     data = load_samples(args.input)
     preds = predict_depth_batch(model, data.triples)
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s1,s2,s3,r_true,r_hat\n")
-        for s1, s2, s3, r_true, r_hat in zip(*data.triples.T.tolist(), data.r.tolist(), preds.tolist()):
-            hat = repr(r_hat) if np.isfinite(r_hat) else ""
-            fh.write(f"{s1},{s2},{s3},{r_true!r},{hat}\n")
+    write_table(out / "predictions.csv", ("s1", "s2", "s3", "r_true", "r_hat"),
+                (*data.triples.T, data.r, np.where(np.isfinite(preds), preds, None)))
     print(f"wrote {preds.size} predictions ({np.isfinite(preds).mean():.1%} valid)")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NoSignalError, UnsupportedShapeError
 from .gating import SPEED_OF_LIGHT_M_PER_NS as _C0
 from .gating import SliceConfig, rip_breakpoints
-from .pipeline import screen_triples
+from .pipeline import screen_triples, write_table
 
 DARK = "dark"
 RISING = "rising"
@@ -124,14 +124,10 @@ class SectionTable:
         return len(self.sections)
 
     def write_csv(self, path):
-        n = len(self.slices)
-        header = ["r_lo", "r_hi"] + [f"slice{i + 1}" for i in range(n)] + ["estimators"]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for sec in self.sections:
-                ests = "|".join(e.label for e in sec.estimators)
-                cells = [repr(sec.r_lo), repr(sec.r_hi), *sec.behaviors, ests]
-                fh.write(",".join(cells) + "\n")
+        header = ("r_lo", "r_hi", *(f"slice{i + 1}" for i in range(len(self.slices))), "estimators")
+        rows = [(sec.r_lo, sec.r_hi, *sec.behaviors, "|".join(e.label for e in sec.estimators))
+                for sec in self.sections]
+        write_table(path, header, zip(*rows))
 
 
 def _behavior_at(breakpoints, r):

@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import DataFormatError
 from .pgmio import read_pgm, write_pgm
+from .pipeline import write_table
 from .scene import SliceImageSet
 
 #: Fixed-point scale of 16-bit depth images: gray levels per metre (0 = invalid).
 DEPTH_PGM_LEVELS_PER_M = 256.0
+
+_BIN_HEADER = ("bin_center", "mae", "std", "rel_mae", "count")
 
 
 class BinRow(NamedTuple):
@@ -40,10 +43,7 @@ class BinnedError:
         return sum(row.count for row in self.rows)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("bin_center,mae,std,rel_mae,count\n")
-            for row in self.rows:
-                fh.write(f"{row.center!r},{row.mae!r},{row.std!r},{row.rel_mae!r},{row.count}\n")
+        write_table(path, _BIN_HEADER, zip(*self.rows))
 
 
 def bin_index(values, bin_width_m):
@@ -104,12 +104,8 @@ class EstimatorComparison:
         raise KeyError(name)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("estimator,coverage,bin_center,mae,std,rel_mae,count\n")
-            for rep in self.reports:
-                for row in rep.binned.rows:
-                    fh.write(f"{rep.name},{rep.coverage!r},{row.center!r},{row.mae!r},"
-                             f"{row.std!r},{row.rel_mae!r},{row.count}\n")
+        rows = [(rep.name, rep.coverage, *row) for rep in self.reports for row in rep.binned.rows]
+        write_table(path, ("estimator", "coverage", *_BIN_HEADER), zip(*rows))
 
 
 def compare_estimators(estimators, triples, truth, bin_width_m=5.0) -> EstimatorComparison:
@@ -156,9 +152,9 @@ class DepthMap:
         write_pgm(path, levels)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in self.depth:
-                fh.write(",".join("" if not math.isfinite(v) else repr(float(v)) for v in row) + "\n")
+        """Header-less matrix of the depth rows, empty cells for invalid pixels."""
+        columns = ((v if math.isfinite(v) else None for v in col) for col in self.depth.T)
+        write_table(path, None, columns)  # lazy columns: one row in memory at a time
 
 
 def read_depth_pgm(path):

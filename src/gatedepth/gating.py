@@ -12,9 +12,9 @@ measured from the *trailing* edge of the emitted pulse, i.e. the gate opens
 shapes this puts the sensitive band of a slice at
 ``[c0*t0/2, c0*(t0 + t_pulse + t_gate)/2]`` metres.
 
-Overlaps of rectangular shapes have a closed form. All other overlaps go
-through one vectorized kernel (``gated_response``) that integrates each
-interval between the pulse and gate knots with a fixed Gauss-Legendre rule.
+Overlaps go through ``gated_response``: a closed form (``rect_overlap`` for
+a rectangular slice) or one vectorized kernel integrating each interval
+between the pulse and gate knots with a fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedShapeError
+from .pipeline import write_table
 
 #: Speed of light in metres per nanosecond (exact).
 SPEED_OF_LIGHT_M_PER_NS = 0.299792458
@@ -215,10 +216,7 @@ class RangeProfile:
         return self.coordinates.size
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("coordinate,intensity\n")
-            for c, v in zip(self.coordinates, self.intensities):
-                fh.write(f"{float(c)!r},{float(v)!r}\n")
+        write_table(path, ("coordinate", "intensity"), (self.coordinates, self.intensities))
 
 
 _CHUNK_ROWS = 4096
@@ -308,15 +306,6 @@ def rect_overlap(cfg: SliceConfig, r):
     return out if out.ndim else float(out)
 
 
-def slice_overlap(cfg: SliceConfig, r):
-    """Overlap (ns) of one slice at distances ``r``: closed form for
-    rectangular shapes, the Gauss-Legendre kernel otherwise. Either way each
-    value depends on its own distance only, never on the rest of the batch."""
-    if cfg.is_rectangular:
-        return rect_overlap(cfg, r)
-    return gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r)
-
-
 def gdp(pulse: PulseShape, gate: GateShape, r_m, delays):
     """Gate delay profile: response of a fixed target over a delay grid.
 
@@ -329,11 +318,12 @@ def rip(cfg: SliceConfig, atmo: Atmosphere, r_grid, include_irradiance=True):
     """Range intensity profile of one slice over a distance grid.
 
     Without irradiance this is ``pulses * overlap(r)``; with irradiance the
-    curve is additionally scaled by ``alpha * beta(r) / r^2``.
+    curve is additionally scaled by ``alpha * beta(r) / r^2``. A negative or
+    non-finite distance raises ``ValueError``, and so does 0 with irradiance.
     """
-    vals = cfg.pulses * slice_overlap(cfg, r_grid)
+    vals = cfg.pulses * gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r_grid)
     if include_irradiance:
-        vals = vals * atmo.kappa(r_grid)  # raises on r <= 0
+        vals = vals * atmo.kappa(r_grid)  # raises on r = 0
     return RangeProfile("distance_m", r_grid, vals)
 
 

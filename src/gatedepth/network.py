@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError, TrainingDivergedError
 from .evaluation import bin_index
-from .pipeline import CONTRAST_FLOOR, screen_triples, standardize_batch
+from .pipeline import CONTRAST_FLOOR, screen_triples, standardize_batch, write_table
 from .seeding import derive_seed
 
 INPUT_WIDTH = 3
@@ -435,13 +435,10 @@ class GridSearchResult:
         return self.points[self.ranking[0][0]]
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("lr,batch,arch,activation,dataset,val_mae,epochs\n")
-            for row in self.rows:
-                p = row.point
-                arch = "-".join(str(w) for w in p.hidden)
-                fh.write(f"{p.learning_rate!r},{p.batch_size},{arch},{p.activation},"
-                         f"{row.dataset},{row.val_mae!r},{row.epochs}\n")
+        rows = [(p.learning_rate, p.batch_size, "-".join(str(w) for w in p.hidden), p.activation,
+                 dataset, val_mae, epochs) for _, p, dataset, val_mae, epochs in self.rows]
+        write_table(path, ("lr", "batch", "arch", "activation", "dataset", "val_mae", "epochs"),
+                    zip(*rows))
 
 
 def grid_search(datasets, grid: GridSpec, max_epochs=100, patience=10, seed=0):
@@ -495,7 +492,16 @@ def predict_depth_batch(model: NetworkModel, triples):
     values = np.asarray(triples, dtype=float).reshape(-1, 3)
     out = np.full(values.shape[0], np.nan)
     valid = screen_triples(values)[2]
-    out[valid] = forward(model, standardize_batch(values[valid]))
+    out[valid] = _valid_ranges(model, values[valid])
+    return out
+
+
+def _valid_ranges(model: NetworkModel, triples):
+    """Model ranges of an (n, 3) array of raw valid triples, standardized and
+    forwarded 8,192 rows at a time to bound the hidden activations' memory."""
+    out = np.empty(len(triples))
+    for i in range(0, len(triples), 8192):
+        out[i:i + 8192] = forward(model, standardize_batch(triples[i:i + 8192]))
     return out
 
 
@@ -509,10 +515,8 @@ class ProbeTable:
     total_triples: int
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r_hat,norm_s1,norm_s2,norm_s3,count\n")
-            for c, row, n in zip(self.bin_centers, self.mean_normalized, self.counts):
-                fh.write(f"{float(c)!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r},{int(n)}\n")
+        write_table(path, ("r_hat", "norm_s1", "norm_s2", "norm_s3", "count"),
+                    (self.bin_centers, *self.mean_normalized.T, self.counts))
 
 
 def valid_probe_triples(s1, s2, s3, max_gray=230, contrast_floor=CONTRAST_FLOOR):
@@ -539,10 +543,7 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
     reps = np.column_stack([d1 - low, d2 - low, -low])  # each pair's triple with minimum 0
     valid = valid_probe_triples(*reps.T, max_gray, contrast_floor)
     reps = reps[valid]
-    preds = np.empty(len(reps))
-    for i in range(0, len(reps), 8192):  # chunks bound the hidden activations' memory
-        preds[i:i + 8192] = forward(model, standardize_batch(reps[i:i + 8192]))
-    bins, dense = np.unique(bin_index(preds, bin_width_m), return_inverse=True)
+    bins, dense = np.unique(bin_index(_valid_ranges(model, reps), bin_width_m), return_inverse=True)
     table = np.full(d1.size, -1)
     table[valid] = dense
 

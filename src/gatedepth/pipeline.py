@@ -10,6 +10,7 @@ overall illumination scale. ``screen_triples`` is the one validity screen:
 the prefilter, its counts and both depth predictors use it. ``load_samples``
 parses a plain sample file in one C pass; any other file, and any file with
 a bad row, is read row by row and its first bad row named by line.
+``write_table`` writes every CSV table of the package in one text format.
 """
 
 from __future__ import annotations
@@ -220,10 +221,29 @@ def _load_samples_per_row(path) -> RawDataset:
 
 def save_samples(data: RawDataset, path):
     """Write a dataset as a ``s1,s2,s3,r`` CSV file."""
+    write_table(path, SAMPLE_HEADER, (*data.triples.T, data.r))
+
+
+def write_table(path, header, columns):
+    """Write equal-length columns as a CSV table, the one text format of every
+    table the package writes: UTF-8, ``\\n`` line ends, the ``header`` row
+    (none when ``None``), then one row per index. A float cell (Python or
+    numpy) is its shortest round-trip ``repr``, ``None`` an empty cell and
+    anything else ``str``."""
+    # a numeric numpy column formats at once: .tolist() gives Python numbers
+    texts = [map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind in "biuf"
+             else map(_cell_text, col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SAMPLE_HEADER) + "\n")
-        for s1, s2, s3, r in zip(*data.triples.T.tolist(), data.r.tolist()):
-            fh.write(f"{s1},{s2},{s3},{r!r}\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in map(",".join, zip(*texts, strict=True)):
+            fh.write(row + "\n")
+
+
+def _cell_text(value):
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def prefilter(data: RawDataset) -> RawDataset:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gating import Atmosphere, slice_overlap
+from .gating import Atmosphere, gated_response, rect_overlap
 from .pipeline import RawDataset
 
 _NOISE_CHUNK = 4096
@@ -85,7 +85,9 @@ def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
     if not np.all((alpha >= 0) & (alpha <= 1)):
         raise ValueError("reflectance must lie in [0, 1]")
     kappa = Atmosphere(gamma_per_m=gamma_per_m).kappa(r)  # checks gamma
-    cols = [cfg.pulses * slice_overlap(cfg, r) for cfg in slices]
+    # the closed form gated_response picks, via rect_overlap so perfbench counts its distances
+    cols = [cfg.pulses * (rect_overlap(cfg, r) if cfg.is_rectangular else
+                          gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r)) for cfg in slices]
     return np.stack(cols, axis=1) * (alpha * kappa)[:, None]
 
 

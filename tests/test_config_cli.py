@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gatedepth
+from gatedepth import cli
 from gatedepth.cli import _COMMANDS, build_parser, main
 from gatedepth.config import RunConfig, config_hash, parse_config, serialize_config
-from gatedepth.errors import ConfigError
+from gatedepth.errors import ConfigError, DataFormatError
 from gatedepth.gating import standard_slices
-from gatedepth.network import NetworkArch, init_params, save_model
+from gatedepth.network import EpochStats, NetworkArch, init_params, load_model, save_model
+from gatedepth.pgmio import write_pgm
 from gatedepth.pipeline import load_samples, prefilter, save_samples
 from gatedepth.scene import NoiseModel, UniformRange, generate_dataset
 from gatedepth.seeding import derive_seed
@@ -129,6 +131,34 @@ def _malformed_sample_files(draw):
     return raw
 
 
+_PGM_BAD_TOKENS = [b"", b"-3", b"0", b"x", b"4.5", b"0x10", b"9" * 30]
+
+
+@st.composite
+def _malformed_pgms(draw):
+    """Slice-PGM bytes that no reader accepts: a wrong magic, a width, height
+    or maxval token that is missing, negative, zero, non-numeric or huge, or a
+    truncated payload; comments may sit between the header tokens."""
+    tokens = [b"P5", b"4", b"3", draw(st.sampled_from([b"255", b"65535"]))]
+    fault = draw(st.sampled_from(["magic", "token", "truncated"]))
+    if fault == "magic":
+        tokens[0] = draw(st.sampled_from([b"P2", b"P6", b"p5", b"P55", b"\xffP5"]))
+    elif fault == "token":
+        tokens[draw(st.integers(1, 3))] = draw(st.sampled_from(_PGM_BAD_TOKENS))
+    seps = [draw(st.sampled_from([b" ", b"\n", b"\t", b"\n# a comment\n", b" #\n"]))
+            for _ in range(3)]
+    header = tokens[0] + b"".join(sep + token for sep, token in zip(seps, tokens[1:])) + b"\n"
+    size = 12 * (2 if tokens[3] == b"65535" else 1)
+    payload = draw(st.binary(min_size=size, max_size=size))
+    if fault == "truncated":
+        payload = payload[:draw(st.integers(0, size - 1))]
+    return header + payload
+
+
+_MODEL_TOKENS = ["", "-", "-1", "0", "x", "nan", "inf", "1e999", "1e300", "-1e300",
+                 "99999999999999999999", "layer", "bias", "tanh", "2.5"]
+
+
 class TestCli:
     def test_sections_command(self, tmp_path):
         assert main(["--out", str(tmp_path), "sections"]) == 0
@@ -185,6 +215,24 @@ class TestCli:
         text = (out / "comparison.csv").read_text()
         assert "network," in text and "baseline," in text
 
+    def test_history_and_predictions_csv_bytes(self, tmp_path, monkeypatch, sample_csv,
+                                                model_file):
+        history = [EpochStats(0, 1e300, 5e-324), EpochStats(1, -0.0, 0.5)]
+        monkeypatch.setattr(cli, "train", lambda *args: (init_params(NetworkArch((2,)), 0), history))
+        assert main(["--out", str(tmp_path), "train", "--input", str(sample_csv)]) == 0
+        assert (tmp_path / "history.csv").read_bytes() == (
+            b"epoch,train_mae,val_mae\n0,1e+300,5e-324\n1,-0.0,0.5\n")
+
+        samples = tmp_path / "four.csv"
+        samples.write_text("s1,s2,s3,r\n10,100,30,1e300\n255,0,0,5e-324\n7,7,7,12.5\n20,80,140,40.0\n")
+        preds = np.array([1.5, np.nan, -np.inf, -0.0])
+        monkeypatch.setattr(cli, "predict_depth_batch", lambda model, triples: preds)
+        assert main(["--out", str(tmp_path), "predict", "--model", str(model_file),
+                     "--input", str(samples)]) == 0
+        assert (tmp_path / "predictions.csv").read_bytes() == (
+            b"s1,s2,s3,r_true,r_hat\n10,100,30,1e+300,1.5\n255,0,0,5e-324,\n7,7,7,12.5,\n"
+            b"20,80,140,40.0,-0.0\n")
+
     def test_gridsearch_reduced(self, tmp_path, sample_csv):
         out = tmp_path / "grid"
         cfg = tmp_path / "grid.cfg"
@@ -199,7 +247,6 @@ class TestCli:
         assert (out / "grid_best.txt").exists()
 
     def test_depthmap_with_baseline(self, tmp_path, slices):
-        from gatedepth.pgmio import write_pgm
         from gatedepth.scene import render_slices
 
         depth = np.full((6, 6), 45.0)
@@ -222,8 +269,6 @@ class TestCli:
         assert np.abs(depth_map.depth - 45.0).max() < 1.0
 
     def test_depthmap_with_model(self, tmp_path, model_file):
-        from gatedepth.pgmio import write_pgm
-
         for i, v in enumerate((10, 100, 30), start=1):
             write_pgm(tmp_path / f"s{i}.pgm", np.full((4, 4), v, dtype=np.uint8))
         out = tmp_path / "dm_model"
@@ -285,8 +330,6 @@ class TestCli:
         ("predict", "1 of 1"), ("eval", "1 of 1"), ("depthmap", "16 of 16"), ("probe", None)],
         ids=["predict", "eval", "depthmap", "probe"])
     def test_an_overflowing_model_is_a_computation_error(self, tmp_path, command, count):
-        from gatedepth.pgmio import write_pgm
-
         model = init_params(NetworkArch((4,), "relu"), seed=0)
         model.weights = [np.full_like(w, 1e300) for w in model.weights]  # finite, overflows on use
         save_model(model, tmp_path / "huge.txt")
@@ -498,8 +541,6 @@ class TestCli:
                                       "model_trailing", "model_negative_epochs",
                                       "samples_long_field"])
     def test_malformed_file_is_an_io_error_naming_it(self, tmp_path, capsys, model_file, case):
-        from gatedepth.pgmio import write_pgm
-
         paths = [tmp_path / f"s{i}.pgm" for i in (1, 2, 3)]
         for i, path in enumerate(paths):
             write_pgm(path, np.full((4, 5 if i == 1 and case == "pgm_sizes_differ" else 4), 50,
@@ -557,6 +598,71 @@ class TestCli:
         assert code == 3, err.getvalue()
         assert str(bad) in err.getvalue()
         assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+
+    @given(raw=_malformed_pgms(), which=st.integers(0, 2), with_model=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_a_malformed_slice_pgm_is_an_io_error_naming_it(self, tmp_path_factory, raw, which,
+                                                            with_model):
+        base = tmp_path_factory.getbasetemp()
+        paths = [base / f"fuzz_slice{i}.pgm" for i in (1, 2, 3)]
+        for i, path in enumerate(paths):
+            write_pgm(path, np.full((3, 4), 50 + 40 * i, dtype=np.uint8))
+        paths[which].write_bytes(raw)
+        model = base / "fuzz_model.txt"
+        save_model(init_params(NetworkArch((4,), "relu"), seed=1), model)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--out", str(base / "fuzz_out"), "depthmap",
+                         *(["--model", str(model)] if with_model else []),
+                         *(f"--slice{i}={path}" for i, path in enumerate(paths, start=1))])
+        assert code == 3, err.getvalue()
+        assert str(paths[which]) in err.getvalue()
+        assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_malformed_model_file_is_an_io_error_naming_it(self, tmp_path_factory, data):
+        """A model file with one token replaced, one line dropped or one line
+        repeated: exit 3 naming the file unless it still loads; a model that
+        loads runs, or exits 4 when its outputs overflow."""
+        base = tmp_path_factory.getbasetemp()
+        model, samples, probe_cfg = base / "mutant.txt", base / "few.csv", base / "probe.cfg"
+        save_model(init_params(NetworkArch((3,), "relu"), seed=2), model)
+        samples.write_text("s1,s2,s3,r\n10,100,30,50.0\n7,7,7,20.0\n")
+        probe_cfg.write_text("probe.max_gray = 20\n")
+        for i, v in enumerate((10, 100, 30), start=1):
+            write_pgm(base / f"mutant_s{i}.pgm", np.full((3, 4), v, dtype=np.uint8))
+        lines = model.read_text().split("\n")[:-1]
+        at = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["token", "drop", "repeat"]))
+        if kind == "token":
+            words = lines[at].split(" ")
+            words[data.draw(st.integers(0, len(words) - 1))] = data.draw(st.sampled_from(_MODEL_TOKENS))
+            lines[at] = " ".join(words)
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        model.write_text("\n".join(lines) + "\n")
+        try:
+            load_model(model)
+        except DataFormatError:
+            loads = False
+        else:
+            loads = True
+        for argv in (["predict", "--input", str(samples)], ["eval", "--input", str(samples)],
+                     ["depthmap", *(f"--slice{i}={base}/mutant_s{i}.pgm" for i in (1, 2, 3))],
+                     ["--config", str(probe_cfg), "probe"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--out", str(base / "mutant_out"), *argv, "--model", str(model)])
+            text = err.getvalue()
+            if not loads:
+                assert code == 3 and str(model) in text, (argv, code, text)
+            elif code:  # outputs beyond float or beyond the int64 bin range
+                assert code == 4 and ("predict a non-finite range" in text
+                                      or "has no bin of width" in text), (argv, code, text)
+            assert "Traceback" not in text and "RuntimeWarning" not in text
 
     @pytest.mark.filterwarnings("error")
     def test_non_positive_pgm_size_is_an_io_error(self, tmp_path):

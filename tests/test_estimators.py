@@ -11,6 +11,9 @@ from gatedepth.estimators import (
     FALLING,
     PLATEAU,
     RISING,
+    PairEstimator,
+    Section,
+    SectionTable,
     baseline_estimate,
     baseline_estimate_batch,
     build_section_table,
@@ -185,6 +188,20 @@ class TestSectionTable:
         assert len(doubled) == 2
         assert doubled[0].r_lo == pytest.approx(56.96056702)
         assert doubled[1].r_hi == pytest.approx(71.95018992)
+
+    def test_csv_bytes(self, tmp_path):
+        a = PairEstimator(0, 1, RISING, PLATEAU, 0.0, 1.0, 240.0, 0.0, 1, 1)
+        b = PairEstimator(1, 2, FALLING, RISING, 600.0, -1.0, 0.0, 1.0, 1, 1)
+        table = SectionTable((Section(-0.0, 5e-324, (RISING, PLATEAU, DARK), (a,)),
+                              Section(5e-324, 1e300, (FALLING, RISING, RISING), (a, b)),
+                              Section(1e300, 2e300, (DARK, DARK, RISING), ())), (None,) * 3)
+        path = tmp_path / "sections.csv"
+        table.write_csv(path)
+        assert path.read_bytes() == (
+            b"r_lo,r_hi,slice1,slice2,slice3,estimators\n"
+            b"-0.0,5e-324,rising,plateau,dark,s1.rising/s2.plateau\n"
+            b"5e-324,1e+300,falling,rising,rising,s1.rising/s2.plateau|s2.falling/s3.rising\n"
+            b"1e+300,2e+300,dark,dark,rising,\n")
 
     def test_single_slice_degrades_to_behavior_description(self, slices):
         table = build_section_table([slices[0]])

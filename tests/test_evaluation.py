@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from gatedepth.estimators import baseline_estimate_batch, build_section_table
 from gatedepth.evaluation import (
+    BinnedError,
+    BinRow,
     DepthMap,
+    EstimatorComparison,
+    EstimatorReport,
     bin_index,
     binned_mae,
     compare_estimators,
@@ -74,6 +78,20 @@ class TestBinnedMae:
 
 
 class TestCompare:
+    def test_csv_bytes(self, tmp_path):
+        rows = (BinRow(2.5, 0.5, 0.0, 0.2, 4), BinRow(7.5, 1e300, 5e-324, -0.0, 1))
+        BinnedError(rows).write_csv(tmp_path / "binned.csv")
+        assert (tmp_path / "binned.csv").read_bytes() == (
+            b"bin_center,mae,std,rel_mae,count\n2.5,0.5,0.0,0.2,4\n7.5,1e+300,5e-324,-0.0,1\n")
+        EstimatorComparison((EstimatorReport("network", BinnedError(rows), 0.75),
+                             EstimatorReport("mute", BinnedError(()), 0.0),
+                             EstimatorReport("baseline", BinnedError(rows[:1]), 5e-324)),
+                            ).write_csv(tmp_path / "comparison.csv")
+        assert (tmp_path / "comparison.csv").read_bytes() == (
+            b"estimator,coverage,bin_center,mae,std,rel_mae,count\n"
+            b"network,0.75,2.5,0.5,0.0,0.2,4\nnetwork,0.75,7.5,1e+300,5e-324,-0.0,1\n"
+            b"baseline,5e-324,2.5,0.5,0.0,0.2,4\n")
+
     def test_identity_estimator(self):
         truth = np.linspace(20.0, 90.0, 40)
         triples = np.tile([10.0, 100.0, 30.0], (40, 1))
@@ -125,6 +143,11 @@ class TestCompare:
 
 
 class TestDepthMap:
+    def test_csv_bytes(self, tmp_path):
+        DepthMap(np.array([[1.5, np.nan, -0.0], [np.inf, 5e-324, 1e300]])).write_csv(
+            tmp_path / "depth.csv")
+        assert (tmp_path / "depth.csv").read_bytes() == b"1.5,,-0.0\n,5e-324,1e+300\n"
+
     def test_all_saturated_gives_all_invalid(self, slices, section_table):
         images = SliceImageSet(tuple(np.full((4, 6), 255, dtype=np.uint8) for _ in range(3)))
         depth_map = render_depth_map(partial(baseline_estimate_batch, table=section_table), images)

@@ -348,6 +348,17 @@ class TestRip:
         with pytest.raises(ValueError):
             rip(slices[0], Atmosphere(), np.array([0.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("r, message", [(-0.5, "target distance must be >= 0"),
+                                            (np.nan, "r_m must be finite, got nan"),
+                                            (np.inf, "r_m must be finite, got inf")])
+    @pytest.mark.parametrize("irradiance", [False, True])
+    def test_bad_distance_is_rejected_for_every_shape(self, slices, r, message, irradiance):
+        trapezoid = SliceConfig(1, PulseShape(100.0, kind="trapezoidal", rise_ns=10.0,
+                                              fall_ns=10.0), GateShape(150.0), 50.0)
+        for cfg in (slices[0], trapezoid):
+            with pytest.raises(ValueError, match=message):
+                rip(cfg, Atmosphere(), np.array([1.0, r, 2.0]), include_irradiance=irradiance)
+
     def test_non_rectangular_profile_goes_through_quadrature(self):
         cfg = SliceConfig(3, PulseShape(100.0, kind="triangular"), GateShape(150.0), 50.0)
         grid = np.linspace(10.0, 60.0, 40)
@@ -420,6 +431,10 @@ class TestRangeProfile:
         path = tmp_path / "profile.csv"
         profile.write_csv(path)
         assert path.read_text() == "coordinate,intensity\n1.0,0.0\n2.5,3.25\n"
+        profile = RangeProfile("delay_ns", [-1.5, -0.0, 5e-324, 1e300], [0.0, 5e-324, 2.5, 1e300])
+        profile.write_csv(path)
+        assert path.read_bytes() == (
+            b"coordinate,intensity\n-1.5,0.0\n-0.0,5e-324\n5e-324,2.5\n1e+300,1e+300\n")
 
 
 def test_slice_config_validation():

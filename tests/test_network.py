@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from gatedepth.errors import TrainingDivergedError
 from gatedepth.network import (
     GridPoint,
+    GridRow,
+    GridSearchResult,
     GridSpec,
     NetworkArch,
     NetworkModel,
@@ -388,6 +390,24 @@ class TestGrid:
         assert grid.enumerate() == [GridPoint(0.01, 16, (4, 2), "relu"),
                                     GridPoint(0.01, 16, (4, 2), "tanh")]
 
+    def test_results_csv_bytes(self, tmp_path):
+        points = [GridPoint(0.01, 16, (4,), "relu"), GridPoint(1e300, 512, (8, 4), "tanh")]
+        rows = [GridRow(0, points[0], "dataset1", 5e-324, 3),
+                GridRow(1, points[1], "dataset3", math.nan, 0)]
+        GridSearchResult(rows, [(0, 5e-324, False), (1, math.inf, True)], points).write_csv(
+            tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (
+            b"lr,batch,arch,activation,dataset,val_mae,epochs\n"
+            b"0.01,16,4,relu,dataset1,5e-324,3\n1e+300,512,8-4,tanh,dataset3,nan,0\n")
+
+    def test_numpy_learning_rates_write_plain_numbers(self, tmp_path):
+        train_xy, val_xy = tiny_problem(n=128)
+        grid = GridSpec(np.array([0.01]), (16,), ((4,),), ("relu",))
+        result = grid_search([("only", train_xy, val_xy)], grid, max_epochs=2, patience=2)
+        result.write_csv(tmp_path / "grid.csv")
+        row = (tmp_path / "grid.csv").read_text().splitlines()[1]
+        assert row.startswith("0.01,16,4,relu,only,"), row
+
     def test_single_point_grid_is_best(self):
         train_xy, val_xy = tiny_problem(n=256)
         grid = GridSpec((0.01,), (32,), ((6,),), ("relu",))
@@ -550,6 +570,13 @@ class TestPredict:
         moved = predict_one(model, (2 * 20 + 5, 2 * 60 + 5, 2 * 100 + 5))
         assert moved == pytest.approx(base, abs=1e-9)
 
+    def test_an_overflowing_model_is_counted_per_batch_of_8192_rows(self):
+        model = init_params(NetworkArch((4,), "relu"), seed=0)
+        model.weights = [np.full_like(w, 1e300) for w in model.weights]
+        triples = np.tile([10.0, 100.0, 30.0], (10_000, 1))
+        with pytest.raises(ValueError, match="^8192 of 8192 network inputs predict a non-finite"):
+            predict_depth_batch(model, triples)
+
     def test_batch_matches_scalar(self):
         model = init_params(NetworkArch((8,), "relu"), seed=1)
         triples = np.array([[20, 80, 140], [251, 0, 0], [7, 7, 7]], dtype=float)
@@ -586,6 +613,13 @@ def reference_probe(model, max_gray, contrast_floor, bin_width_m):
 
 
 class TestProbe:
+    def test_csv_bytes(self, tmp_path):
+        table = ProbeTable(np.array([0.5, 1.5]), np.array([[1.0, -0.0, 5e-324], [0.25, 1e300, 1.0]]),
+                           np.array([3, 1]), 4)
+        table.write_csv(tmp_path / "probe.csv")
+        assert (tmp_path / "probe.csv").read_bytes() == (
+            b"r_hat,norm_s1,norm_s2,norm_s3,count\n0.5,1.0,-0.0,5e-324,3\n1.5,0.25,1e+300,1.0,1\n")
+
     def test_validity_examples(self):
         assert not valid_probe_triples(100, 50, 200)   # middle value is the strict minimum
         assert not valid_probe_triples(10, 12, 14)     # spread below the contrast floor

@@ -1,6 +1,9 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatedepth import pipeline
@@ -21,6 +24,7 @@ from gatedepth.pipeline import (
     standardize_batch,
     standardized_arrays,
     variant,
+    write_table,
 )
 
 
@@ -580,3 +584,74 @@ class TestColumnarRulesMatchTheListRules:
             assert as_rows(out) == out_rows
             train, val = split(out, fraction, seed)
             assert (as_rows(train), as_rows(val)) == reference_split(out_rows, fraction, seed)
+
+
+class TestWriteTable:
+    def test_sample_file_bytes(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        save_samples(RawDataset([[0, 255, 7], [1, 2, 3], [9, 9, 9]], [12.5, 5e-324, 1e300]), path)
+        assert path.read_bytes() == b"s1,s2,s3,r\n0,255,7,12.5\n1,2,3,5e-324\n9,9,9,1e+300\n"
+
+    def test_cell_text(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, ("a", "b", "c", "d"), ([1.5, None, np.float64(-0.0)],
+                                                 np.array([np.nan, np.inf, 5e-324]),
+                                                 [np.int64(7), 8, True],
+                                                 np.array(["x", "y", "z"])))
+        assert path.read_bytes() == (b"a,b,c,d\n1.5,nan,7,x\n,inf,8,y\n-0.0,5e-324,True,z\n")
+
+    def test_no_header(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_table(path, None, (np.array([1.0, 2.0]), [None, 3]))
+        assert path.read_bytes() == b"1.0,\n2.0,3\n"
+
+    def test_columns_of_different_lengths_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ("a", "b"), ([1.0, 2.0], [1.0]))
+
+    @given(values=st.lists(st.floats(), max_size=12))
+    @example(values=[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300])
+    @settings(max_examples=60, deadline=None)
+    def test_floats_read_back_bit_for_bit(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "floats.csv"
+        # a numpy column, a list of floats and a list of numpy scalars
+        write_table(path, ("array", "list", "scalars"),
+                    (np.array(values, dtype=float), values, list(np.array(values, dtype=float))))
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines[0] == "array,list,scalars" and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert all(len(set(row)) == 1 for row in rows)  # the same text in every column
+        got = np.array([float(row[0]) for row in rows])
+        want = np.array(values, dtype=float)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        keep = ~np.isnan(want)
+        assert np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+
+
+def _write_opens(node, scope):
+    """The enclosing definition (``module.Class.function``) of every call
+    below ``node`` that opens a file for writing: a call to ``open`` with a
+    constant mode argument that writes, appends, creates or updates."""
+    for child in ast.iter_child_nodes(node):
+        inner = (f"{scope}.{child.name}"
+                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 else scope)
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            modes = [*child.args, *(k.value for k in child.keywords if k.arg == "mode")]
+            if name == "open" and any(
+                    isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and set(m.value) <= set("rwxabt+") and set(m.value) & set("wxa+")
+                    for m in modes):
+                yield inner
+        yield from _write_opens(child, inner)
+
+
+def test_only_the_three_writers_open_files_for_writing():
+    """Every CSV table goes through ``write_table``; the model text and PGM
+    images have their own writers. The package files are parsed, never run."""
+    writers = set()
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        writers.update(_write_opens(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert writers == {"pipeline.write_table", "network.save_model", "pgmio.write_pgm"}
