@@ -362,9 +362,10 @@ class _Stack:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter grid: the cartesian product of the four axes. Layouts
-    become tuples and activations lowercase; a value repeated on an axis is a
-    ``ValueError`` naming the axis and both spellings."""
+    """Hyperparameter grid: the cartesian product of the four axes. Every axis
+    becomes a tuple (so numpy arrays work too), layouts tuples and activations
+    lowercase; a value repeated on an axis is a ``ValueError`` naming the axis
+    and both spellings."""
 
     learning_rates: tuple
     batch_sizes: tuple
@@ -373,6 +374,8 @@ class GridSpec:
 
     def __post_init__(self):
         given = self.axes
+        object.__setattr__(self, "learning_rates", tuple(self.learning_rates))
+        object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
         object.__setattr__(self, "hidden_layouts", tuple(tuple(h) for h in self.hidden_layouts))
         object.__setattr__(self, "activations", tuple(str(a).lower() for a in self.activations))
         if not all(self.axes):
@@ -534,32 +537,27 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
 
     Reconstructs the effective response curves the network has learned: for
     each predicted-range bin, the mean of each slice's intensity divided by
-    the triple's maximum. The network runs once per valid difference pair
-    ``(s1 - s3, s2 - s3)``, all a triple's validity and z-scores depend on.
+    the triple's maximum. Validity, z-scores and so the bin depend only on the
+    difference pair ``(s1 - s3, s2 - s3)``, so the network runs once per valid
+    pair, on its representative ``rep`` (minimum 0, maximum ``top``). The
+    pair's triples are ``rep + t`` for ``t = 0 .. max_gray - 1 - top``: it adds
+    ``max_gray - top`` to its bin's count and ``tail[rep_j, top]`` to column
+    ``j``'s sum, where ``tail[a, m] = sum_t (a + t) / (m + t)``.
     """
     d = np.arange(1 - max_gray, max_gray)  # every difference of two grays
     d1, d2 = (g.reshape(-1) for g in np.meshgrid(d, d, indexing="ij"))
     low = np.minimum(np.minimum(d1, d2), 0)
     reps = np.column_stack([d1 - low, d2 - low, -low])  # each pair's triple with minimum 0
-    valid = valid_probe_triples(*reps.T, max_gray, contrast_floor)
-    reps = reps[valid]
+    reps = reps[valid_probe_triples(*reps.T, max_gray, contrast_floor)]
     bins, dense = np.unique(bin_index(_valid_ranges(model, reps), bin_width_m), return_inverse=True)
-    table = np.full(d1.size, -1)
-    table[valid] = dense
+    top = reps.max(axis=1)
 
-    grid = np.arange(max_gray)
-    s2, s3 = (g.reshape(-1) for g in np.meshgrid(grid, grid, indexing="ij"))
-    plane_keys = (max_gray - 1 - s3) * d.size + (s2 - s3 + max_gray - 1)  # pair index at s1 = 0
-    counts = np.zeros(bins.size, dtype=np.int64)
-    sums = np.zeros((bins.size, 3))
-    for s1 in range(max_gray):  # plane by plane: bin sums add up in per-triple order
-        idx = table[plane_keys + s1 * d.size]
-        keep = idx >= 0
-        idx, a, b = idx[keep], s2[keep], s3[keep]
-        mx = np.maximum(np.maximum(float(s1), a), b)
-        counts += np.bincount(idx, minlength=bins.size)
-        for j, col in enumerate((float(s1), a, b)):
-            sums[:, j] += np.bincount(idx, weights=col / mx, minlength=bins.size)
+    tail = np.zeros((max_gray + 1, max_gray + 1))  # tail[:, max_gray] = 0: no shift fits
+    for m in range(max_gray - 1, 0, -1):  # top >= 1: a valid pair spreads
+        tail[:-1, m] = np.arange(max_gray) / m + tail[1:, m + 1]
+    counts = np.bincount(dense, weights=max_gray - top, minlength=bins.size).astype(np.int64)
+    sums = np.column_stack([np.bincount(dense, weights=tail[reps[:, j], top], minlength=bins.size)
+                            for j in range(3)])
     return ProbeTable((bins + 0.5) * bin_width_m, sums / counts[:, None], counts,
                       int(counts.sum()))
 

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,6 +409,21 @@ class TestGrid:
         row = (tmp_path / "grid.csv").read_text().splitlines()[1]
         assert row.startswith("0.01,16,4,relu,only,"), row
 
+    def test_numpy_axes_match_the_tuple_spelling(self, tmp_path):
+        train_xy, val_xy = tiny_problem(n=128)
+        written = []
+        for grid in (GridSpec(np.array([0.01, 0.1]), np.array([16]), ((4,),), ("relu",)),
+                     GridSpec((0.01, 0.1), (16,), ((4,),), ("relu",))):
+            assert len(grid) == 2
+            result = grid_search([("only", train_xy, val_xy)], grid, max_epochs=2, patience=2)
+            result.write_csv(tmp_path / "grid.csv")
+            written.append((tmp_path / "grid.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_repeated_numpy_axis_value_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid axis learning_rates: .*0\.1.* repeats .*0\.1"):
+            GridSpec(np.array([0.1, 0.1]), (16,), ((4,),), ("relu",))
+
     def test_single_point_grid_is_best(self):
         train_xy, val_xy = tiny_problem(n=256)
         grid = GridSpec((0.01,), (32,), ((6,),), ("relu",))
@@ -664,6 +680,39 @@ class TestProbe:
         assert same_bits(table.bin_centers, ref.bin_centers)
         np.testing.assert_allclose(table.mean_normalized, ref.mean_normalized, rtol=0, atol=1e-12)
         assert table.counts.size >= 5  # the model spreads over several bins
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(MODELS)), max_gray=st.integers(1, 40),
+           contrast_floor=st.integers(0, 12), bin_width_m=st.sampled_from([1.0, 0.37, 2.5, 0.01]))
+    def test_property_matches_the_per_triple_reference(self, name, max_gray, contrast_floor,
+                                                       bin_width_m):
+        table = probe_learned_function(MODELS[name], max_gray, contrast_floor, bin_width_m)
+        ref = reference_probe(MODELS[name], max_gray, contrast_floor, bin_width_m)
+        assert table.total_triples == ref.total_triples == table.counts.sum()
+        assert table.counts.tolist() == ref.counts.tolist()
+        assert same_bits(table.bin_centers, ref.bin_centers)
+        assert table.mean_normalized.shape == ref.mean_normalized.shape == (table.counts.size, 3)
+        np.testing.assert_allclose(table.mean_normalized, ref.mean_normalized, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("contrast_floor", [0, 6])
+    @pytest.mark.parametrize("bin_width_m", [1.0, 0.37])
+    def test_means_match_exact_rational_sums(self, contrast_floor, bin_width_m):
+        model, max_gray = MODELS["tanh-40"], 24
+        grid = np.arange(max_gray, dtype=float)
+        triples = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+        triples = triples[valid_probe_triples(*triples.T, max_gray, contrast_floor)]
+        keys = np.floor(forward(model, standardize_batch(triples)) / bin_width_m).astype(np.int64)
+        exact = {}
+        for key, triple in zip(keys.tolist(), triples.astype(int).tolist()):
+            entry = exact.setdefault(key, [0, [Fraction(0)] * 3])
+            entry[0] += 1
+            entry[1] = [total + Fraction(v, max(triple)) for total, v in zip(entry[1], triple)]
+        table = probe_learned_function(model, max_gray, contrast_floor, bin_width_m)
+        assert table.counts.tolist() == [exact[k][0] for k in sorted(exact)]
+        assert table.counts.size >= 5
+        for row, key in zip(table.mean_normalized.tolist(), sorted(exact)):
+            n, sums = exact[key]
+            assert max(abs(Fraction(got) - total / n) for got, total in zip(row, sums)) <= 1e-13
 
     @pytest.mark.parametrize("max_gray, contrast_floor", [(1, 0), (6, 6), (7, 6), (21, 20)])
     def test_no_valid_triple_gives_an_empty_table(self, max_gray, contrast_floor):
