@@ -57,9 +57,21 @@ def _cmd_sections(cfg: RunConfig, args, out: Path):
     print(f"wrote {len(table)} sections to {out / 'sections.csv'}")
 
 
+#: Largest distance grid ``rip`` builds: 80 MB per float column.
+MAX_RIP_POINTS = 10_000_000
+
+
 def _cmd_rip(cfg: RunConfig, args, out: Path):
     atmo = Atmosphere(alpha=1.0, gamma_per_m=cfg.gamma_per_m)
-    r_max = max(slice_support(s)[1] for s in cfg.slices)
+    ends = [slice_support(s)[1] for s in cfg.slices]
+    r_max = max(ends)
+    i = ends.index(r_max) + 1
+    points = (r_max + 10.0) / args.r_step  # a float: no overflow, inf at worst
+    if points > MAX_RIP_POINTS:
+        raise ConfigError(
+            f"rip grid of {points:.3g} points exceeds {MAX_RIP_POINTS:,}: raise --r-step "
+            f"or lower slice{i}.t0_ns, slice{i}.tl_ns or slice{i}.tg_ns, which set r_max "
+            f"= {r_max:.6g} m")
     grid = np.arange(args.r_step, r_max + 10.0, args.r_step)
     for i, s in enumerate(cfg.slices, start=1):
         profile = rip(s, atmo, grid, include_irradiance=args.irradiance)

@@ -12,13 +12,17 @@ measured from the *trailing* edge of the emitted pulse, i.e. the gate opens
 shapes this puts the sensitive band of a slice at
 ``[c0*t0/2, c0*(t0 + t_pulse + t_gate)/2]`` metres.
 
-Overlaps go through ``gated_response``: a closed form (``rect_overlap`` for
-a rectangular slice) or one vectorized kernel integrating each interval
-between the pulse and gate knots with a fixed Gauss-Legendre rule.
+Overlaps go through ``gated_response``. Two rectangular shapes take a
+closed form (also behind ``rect_overlap``). Any other pair of
+piecewise-linear shapes overlaps as an exact piecewise cubic in
+``tau - gate_open``, built once per shape pair. A gaussian pulse takes a
+16-node Gauss-Legendre rule on each interval between its and the gate's
+knots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,10 +98,13 @@ class PulseShape:
         return out if out.ndim else float(out)
 
     def knots(self):
-        """Support breakpoints, used to split numeric integration intervals.
+        """Support breakpoints. A piecewise-linear shape is linear between
+        them, so every gate knot minus every pulse knot is a breakpoint of
+        their overlap's piecewise cubic.
 
         A gaussian pulse is also split 1, 2, 4 and 8 sigma either side of its
-        centre, so the fixed-order rule stays accurate for narrow pulses.
+        centre, so the fixed-order quadrature rule stays accurate for narrow
+        pulses.
         """
         w = self.width_ns
         if self.kind == "rectangular":
@@ -223,19 +230,16 @@ _CHUNK_ROWS = 4096
 
 
 def _overlap_rows(pulse, gate, gate_open, tau):
-    """Overlap integral (ns) for 1-D arrays of gate openings and travel times.
+    """Overlap integral (ns) of a gaussian pulse with a gate, for 1-D arrays of
+    gate openings and travel times.
 
-    Each interval between knots gets a fixed Gauss-Legendre rule with
+    Each interval between knots gets a 16-node Gauss-Legendre rule with
     interior nodes only: at a knot, ``(tau + w) - tau`` can round to just
-    outside a support. Piecewise-linear shapes multiply to a quadratic
-    between knots, which 2 nodes integrate exactly; the gaussian takes 16.
+    outside a support.
     """
-    if pulse.kind == "gaussian":
-        from numpy.polynomial.legendre import leggauss  # deferred: a slow import
+    from numpy.polynomial.legendre import leggauss  # deferred: a slow import
 
-        nodes, weights = leggauss(16)
-    else:
-        nodes, weights = (-(3.0 ** -0.5), 3.0 ** -0.5), (1.0, 1.0)
+    nodes, weights = leggauss(16)
     lo = np.maximum(tau, gate_open)
     hi = np.maximum(np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns), lo)
     knots = np.concatenate(
@@ -249,6 +253,81 @@ def _overlap_rows(pulse, gate, gate_open, tau):
         f = gate.value(t - gate_open[:, None]) * pulse.value(t - tau[:, None])
         total += w * (half * f).sum(axis=1)
     return total
+
+
+@functools.lru_cache(maxsize=16)
+def _overlap_cubics(pulse, gate):
+    """The overlap of two piecewise-linear shapes as a piecewise cubic in
+    ``s = tau - gate_open``.
+
+    Returns ``(inner, origin, coef)``: the interior breakpoints (every gate
+    knot minus every pulse knot, sorted), and per interval the float origin
+    and ``c0..c3`` of ``c0 + c1*x + c2*x**2 + c3*x**3`` with ``x = s - origin``.
+    The origin is the interval end with the smaller overlap, so values near
+    either end of the support keep their relative accuracy. Each cubic is
+    fitted exactly, in rationals, through four exact overlaps, and rounded once.
+    """
+    from fractions import Fraction  # deferred: numpy does not load it
+
+    def segments(shape):
+        # (start, end, value at start, slope); the value at each knot is the
+        # one-sided limit from both sides for every shipped kind
+        k = [Fraction(x) for x in shape.knots()]
+        v = [Fraction(shape.value(x)) for x in shape.knots()]
+        return [(k0, k1, v0, (v1 - v0) / (k1 - k0))
+                for k0, k1, v0, v1 in zip(k, k[1:], v, v[1:]) if k1 > k0]
+
+    gate_segs, pulse_segs = segments(gate), segments(pulse)
+
+    def overlap(s):
+        total = Fraction(0)
+        for a0, a1, g0, dg in gate_segs:
+            for b0, b1, p0, dp in pulse_segs:
+                lo, hi = max(a0, b0 + s), min(a1, b1 + s)
+                if hi > lo:  # the exact integral of a product of two linear functions
+                    gl, gh = g0 + dg * (lo - a0), g0 + dg * (hi - a0)
+                    pl, ph = p0 + dp * (lo - s - b0), p0 + dp * (hi - s - b0)
+                    total += (hi - lo) * (gl * (2 * pl + ph) + gh * (pl + 2 * ph)) / 6
+        return total
+
+    breaks = sorted({Fraction(a) - Fraction(b) for a in gate.knots() for b in pulse.knots()})
+    ends = [overlap(b) for b in breaks]
+    origin, coef = [], []
+    for i, (s0, s1) in enumerate(zip(breaks, breaks[1:])):
+        o = Fraction(float(s0 if ends[i] <= ends[i + 1] else s1))
+        xs = [s0 + (s1 - s0) * j / 3 for j in range(4)]
+        ys = [ends[i], overlap(xs[1]), overlap(xs[2]), ends[i + 1]]
+        for j in range(1, 4):  # Newton divided differences
+            for m in range(3, j - 1, -1):
+                ys[m] = (ys[m] - ys[m - 1]) / (xs[m] - xs[m - j])
+        c = [ys[3]]
+        for j in range(2, -1, -1):  # expand the Newton form about o
+            d = xs[j] - o
+            c = [ys[j] - d * c[0]] + [c[m] - d * c[m + 1] for m in range(len(c) - 1)] + [c[-1]]
+        origin.append(float(o))
+        try:
+            coef.append([float(x) for x in c])
+        except OverflowError:  # an interval under ~1e-154 ns wide: its chord is as good
+            slope = (ends[i + 1] - ends[i]) / (s1 - s0)
+            coef.append([float(ends[i] + slope * (o - s0)), float(slope), 0.0, 0.0])
+    tables = np.array([float(b) for b in breaks[1:-1]]), np.array(origin), np.array(coef)
+    for t in tables:  # memoized: shared by every later call
+        t.flags.writeable = False
+    return tables
+
+
+def _cubic_rows(pulse, gate, gate_open, tau):
+    """Overlap (ns) of piecewise-linear shapes for 1-D arrays of gate openings
+    and travel times: one table lookup and a Horner step per row."""
+    inner, origin, coef = _overlap_cubics(pulse, gate)
+    lo = np.maximum(tau, gate_open)
+    hi = np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns)
+    s = tau - gate_open
+    k = np.searchsorted(inner, s)
+    x = s - origin[k]
+    c = coef[k]
+    out = ((c[:, 3] * x + c[:, 2]) * x + c[:, 1]) * x + c[:, 0]
+    return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
 
 
 def _rect_closed_form(pulse, gate, gate_open, tau):
@@ -265,10 +344,13 @@ def gated_response(pulse: PulseShape, gate: GateShape, delay_ns, r_m):
     Evaluates the time overlap integral of the returning pulse and the gate
     gain for targets at ``r_m`` metres. ``delay_ns`` and ``r_m`` broadcast
     against each other; scalar input gives a float, array input an array.
-    Closed form when both shapes are rectangular; otherwise a fixed
-    Gauss-Legendre rule on each interval between pulse and gate knots, exact
-    for piecewise-linear shapes. Every value depends on its own (delay,
-    distance) pair only, never on the rest of the batch.
+    Closed form when both shapes are rectangular; for other piecewise-linear
+    shapes, the exact overlap cubic of the interval holding
+    ``tau - gate_open``, evaluated by Horner's rule; for a gaussian pulse, a
+    16-node Gauss-Legendre rule on each interval between pulse and gate
+    knots. Distances outside the support give exactly 0.0, and no value is
+    negative. Every value depends on its own (delay, distance) pair only,
+    never on the rest of the batch.
     """
     delay_ns, r_m = np.broadcast_arrays(_check_finite("delay_ns", delay_ns),
                                         _check_finite("r_m", r_m))
@@ -280,11 +362,12 @@ def gated_response(pulse: PulseShape, gate: GateShape, delay_ns, r_m):
     if pulse.kind == "rectangular" and gate.kind == "rectangular":
         out = _rect_closed_form(pulse, gate, gate_open, tau)
     else:
+        rows_of = _overlap_rows if pulse.kind == "gaussian" else _cubic_rows
         flat_open, flat_tau = gate_open.reshape(-1), tau.reshape(-1)
         out = np.empty(flat_tau.shape)
         for start in range(0, out.size, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            out[rows] = _overlap_rows(pulse, gate, flat_open[rows], flat_tau[rows])
+            out[rows] = rows_of(pulse, gate, flat_open[rows], flat_tau[rows])
         out = out.reshape(tau.shape)
     return out if out.ndim else float(out)
 

@@ -176,6 +176,27 @@ class TestCli:
             assert lit.min() == pytest.approx(lo, abs=1.0)
             assert lit.max() == pytest.approx(hi, abs=1.0)
 
+    @pytest.mark.parametrize("config, argv, farthest", [
+        ("slice1.tl_ns = 1e9\n", [], "slice1"),  # a 4.47 GiB grid
+        ("slice1.t0_ns = 1e300\n", [], "slice1"),  # past numpy's size limit
+        ("", ["--r-step", "1e-9"], "slice3"),
+    ])
+    def test_oversized_rip_grid_is_a_config_error_before_allocation(self, tmp_path, capsys,
+                                                                     monkeypatch, config, argv,
+                                                                     farthest):
+        def refuse(*a, **k):
+            raise AssertionError("np.arange reached")
+
+        monkeypatch.setattr(cli.np, "arange", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "rip", *argv]) == 2
+        err = capsys.readouterr().err
+        for key in ("--r-step", f"{farthest}.t0_ns", f"{farthest}.tl_ns", f"{farthest}.tg_ns"):
+            assert key in err
+        assert "exceeds 10,000,000" in err
+        assert not list((tmp_path / "o").glob("rip_slice*.csv"))
+
     def test_simulate_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sim.samples = 400\nseed = 3\n")

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gatedepth
 from gatedepth.errors import UnsupportedShapeError
 from gatedepth.gating import (
     SPEED_OF_LIGHT_M_PER_NS as C0,
@@ -282,6 +289,97 @@ class TestGatedResponse:
             hard_val = gated_response(rect, gate, 50.0, r)
             soft_val = gated_response(soft, gate, 50.0, r)
             assert soft_val <= hard_val + 1e-9
+
+
+def exact_vertices(shape):
+    """Corners of a piecewise-linear shape, from its kind and edges, in rationals."""
+    w, a, b = (Fraction(x) for x in (shape.width_ns, shape.rise_ns, shape.fall_ns))
+    if shape.kind == "rectangular":
+        return [(0, 1), (w, 1)]
+    if shape.kind == "triangular":
+        return [(0, 0), (w / 2, 1), (w, 0)]
+    corners = [(0, 0 if a else 1), (a, 1), (w - b, 1), (w, 0 if b else 1)]
+    return [c for i, c in enumerate(corners) if i == 0 or c[0] > corners[i - 1][0]]
+
+
+def exact_overlap(pulse, gate, delay_ns, r_m):
+    """Overlap (ns) in rationals at the float travel time and gate opening
+    that ``gated_response`` computes: Simpson's rule, exact for the quadratic
+    integrand between the merged corners in absolute time."""
+    tau, gate_open = Fraction(2.0 * r_m / C0), Fraction(pulse.width_ns + delay_ns)
+    shapes = [(exact_vertices(pulse), tau), (exact_vertices(gate), gate_open)]
+    lo = max(tau, gate_open)
+    hi = min(tau + Fraction(pulse.width_ns), gate_open + Fraction(gate.width_ns))
+    if hi <= lo:
+        return Fraction(0)
+    cuts = sorted({lo, hi} | {x + t0 for v, t0 in shapes for x, _ in v if lo < x + t0 < hi})
+    total = Fraction(0)
+    for x0, x1 in zip(cuts, cuts[1:]):
+        def f(u):
+            out = Fraction(1)
+            for v, t0 in shapes:  # the linear piece holding the sub-interval
+                (p0, y0), (p1, y1) = next(pair for pair in zip(v, v[1:])
+                                          if pair[0][0] < (x0 + x1) / 2 - t0 < pair[1][0])
+                out *= y0 + (y1 - y0) * (u - t0 - p0) / (p1 - p0)
+            return out
+        total += (x1 - x0) * (f(x0) + 4 * f((x0 + x1) / 2) + f(x1)) / 6
+    return total
+
+
+LINEAR_KINDS = ("rectangular", "triangular", "trapezoidal")
+
+
+@st.composite
+def linear_shapes(draw, cls):
+    kind = draw(st.sampled_from(LINEAR_KINDS))
+    w = draw(st.floats(1.0, 500.0))
+    rise = fall = 0.0
+    if kind == "trapezoidal":
+        edges = draw(st.one_of(
+            st.sampled_from([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.25, 0.75),
+                             (0.0, 0.3), (0.2, 0.0)]),
+            st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5))))
+        rise, fall = edges[0] * w, edges[1] * w
+    return cls(w, kind, rise, fall)
+
+
+class TestPiecewiseCubicOverlap:
+    @given(linear_shapes(PulseShape), linear_shapes(GateShape), st.floats(0.0, 400.0),
+           st.lists(st.floats(1e-9, 1e-1), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    @example(PulseShape(1.0), GateShape(1.0, "trapezoidal", rise_ns=2.2250738585e-313), 0.0,
+             [0.0625], 0)  # a subnormal ramp: its cubic's coefficients overflow a float
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exact_rational_reference(self, pulse, gate, delay, offsets, seed):
+        assume(not (pulse.kind == gate.kind == "rectangular"))
+        c = 0.5 * C0
+        r_min, r_max = c * delay, c * (delay + pulse.width_ns + gate.width_ns)
+        near = [e + sign * d for e in (r_min, r_max) for d in offsets for sign in (-1.0, 1.0)]
+        r = np.concatenate([np.random.default_rng(seed).uniform(0.0, r_max + 5.0, 24),
+                            [r_min, r_max], near])
+        r = r[r >= 0.0]
+        got = gated_response(pulse, gate, delay, r)
+        want = [exact_overlap(pulse, gate, delay, x) for x in r]
+        assert np.all(got >= 0.0)
+        for g, w in zip(got, want):
+            if w == 0:
+                assert g == 0.0
+            assert g == pytest.approx(float(w), rel=1e-12, abs=1e-12)
+        again = gated_response(pulse, gate, delay, r)  # from the memoized table
+        np.testing.assert_array_equal(again.view(np.uint64), got.view(np.uint64))
+
+
+def test_cli_import_defers_the_overlap_table_imports():
+    # the exact cubic tables load fractions, and the gaussian rule numpy.polynomial,
+    # on first use only, so start-up does not pay for them
+    src = str(Path(gatedepth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, gatedepth.cli; "
+            "print(sorted(m for m in ('fractions', 'numpy.polynomial') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestSliceSupport:
