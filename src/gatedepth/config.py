@@ -86,6 +86,9 @@ _unit_interval = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _activation = _checked(str.lower, lambda v: v in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}")
 
+#: Largest ``sim.samples``: 100 times the default.
+MAX_SIM_SAMPLES = 10_000_000
+
 # key -> (parse, get, set); fixed order defines the canonical serialization
 _SCHEMA = {}
 
@@ -118,7 +121,8 @@ for attr, parse in (("learning_rate", float), ("batch_size", int), ("max_epochs"
               lambda cfg, v, attr=attr: _train_set(cfg, attr, v))
 _simple("train.fraction", "train_fraction",
         _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
-_simple("sim.samples", "sim_samples", _positive_int)
+_simple("sim.samples", "sim_samples",
+        _checked(int, lambda v: 1 <= v <= MAX_SIM_SAMPLES, f"in 1..{MAX_SIM_SAMPLES:,}"))
 _simple("sim.r_min_m", "sim_r_min_m", _finite_positive)
 _simple("sim.r_max_m", "sim_r_max_m", _finite_positive)
 _simple("sim.alpha_min", "sim_alpha_min", _unit_interval)

@@ -67,6 +67,9 @@ class PulseShape:
             raise ValueError(f"unknown {name} kind {self.kind!r}")
         if not (math.isfinite(w) and w > 0):
             raise ValueError(f"{name} width must be positive and finite")
+        for field in ("rise_ns", "fall_ns", "sigma_ns"):
+            if getattr(self, field) is not None:
+                _check_finite(f"{name} {field}", getattr(self, field))
         if self.kind == "trapezoidal":
             if self.rise_ns < 0 or self.fall_ns < 0:
                 raise ValueError("rise/fall times must be >= 0")
@@ -214,6 +217,8 @@ class RangeProfile:
             raise ValueError("coordinate/intensity length mismatch")
         if np.any(np.diff(coords) <= 0):
             raise ValueError("profile coordinates must be strictly increasing")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("profile intensities must be finite")
         if np.any(vals < 0):
             raise ValueError("profile intensities must be >= 0")
         object.__setattr__(self, "coordinates", coords)
@@ -260,9 +265,10 @@ def _overlap_cubics(pulse, gate):
     """The overlap of two piecewise-linear shapes as a piecewise cubic in
     ``s = tau - gate_open``.
 
-    Returns ``(inner, origin, coef)``: the interior breakpoints (every gate
-    knot minus every pulse knot, sorted), and per interval the float origin
-    and ``c0..c3`` of ``c0 + c1*x + c2*x**2 + c3*x**3`` with ``x = s - origin``.
+    Returns ``(inner, origin, c0, c1, c2, c3)``: the interior breakpoints
+    (every gate knot minus every pulse knot, sorted), and one column per
+    interval of the float origin and of each coefficient of
+    ``c0 + c1*x + c2*x**2 + c3*x**3`` with ``x = s - origin``.
     The origin is the interval end with the smaller overlap, so values near
     either end of the support keep their relative accuracy. Each cubic is
     fitted exactly, in rationals, through four exact overlaps, and rounded once.
@@ -310,7 +316,8 @@ def _overlap_cubics(pulse, gate):
         except OverflowError:  # an interval under ~1e-154 ns wide: its chord is as good
             slope = (ends[i + 1] - ends[i]) / (s1 - s0)
             coef.append([float(ends[i] + slope * (o - s0)), float(slope), 0.0, 0.0])
-    tables = np.array([float(b) for b in breaks[1:-1]]), np.array(origin), np.array(coef)
+    tables = (np.array([float(b) for b in breaks[1:-1]]), np.array(origin),
+              *np.array(coef).T.copy())
     for t in tables:  # memoized: shared by every later call
         t.flags.writeable = False
     return tables
@@ -319,15 +326,19 @@ def _overlap_cubics(pulse, gate):
 def _cubic_rows(pulse, gate, gate_open, tau):
     """Overlap (ns) of piecewise-linear shapes for 1-D arrays of gate openings
     and travel times: one table lookup and a Horner step per row."""
-    inner, origin, coef = _overlap_cubics(pulse, gate)
+    inner, origin, *coef = _overlap_cubics(pulse, gate)
     lo = np.maximum(tau, gate_open)
     hi = np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns)
-    s = tau - gate_open
-    k = np.searchsorted(inner, s)
-    x = s - origin[k]
-    c = coef[k]
-    out = ((c[:, 3] * x + c[:, 2]) * x + c[:, 1]) * x + c[:, 0]
-    return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
+    x = tau - gate_open
+    k = np.searchsorted(inner, x)
+    x -= origin[k]
+    out = coef[3][k]
+    for c in coef[2::-1]:  # ((c3*x + c2)*x + c1)*x + c0
+        out *= x
+        out += c[k]
+    np.maximum(out, 0.0, out=out)
+    out[~(hi > lo)] = 0.0
+    return out
 
 
 def _rect_closed_form(pulse, gate, gate_open, tau):

@@ -27,6 +27,8 @@ from .seeding import derive_seed
 
 INPUT_WIDTH = 3
 INIT_SCALE = 0.05  # weights start uniform on [-0.05, 0.05], biases at zero
+#: Largest weight count of a layout: 8 MB per parameter copy.
+MAX_WEIGHTS = 1_000_000
 
 MODEL_FORMAT = "gated-depth-net"
 MODEL_VERSION = 1
@@ -88,6 +90,11 @@ class NetworkArch:
         object.__setattr__(self, "activation", str(self.activation).lower())
         if any(w < 1 for w in self.hidden):
             raise ValueError("hidden widths must be positive")
+        dims = (INPUT_WIDTH, *self.hidden, 1)
+        weights = sum(a * b for a, b in zip(dims, dims[1:]))
+        if weights > MAX_WEIGHTS:
+            raise ValueError(f"hidden layout {'-'.join(map(str, self.hidden))} has {weights:,} "
+                             f"weights, more than {MAX_WEIGHTS:,}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 

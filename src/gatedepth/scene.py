@@ -3,9 +3,11 @@
 The forward model per pixel is the gated response of each slice scaled by
 pulse count, reflectance, extinction and 1/r^2 irradiance, mapped to gray
 values by a single calibration scalar, with optional additive gaussian noise,
-then rounded and clamped to 8 bit. Noise comes from one index-addressed
-stream (``NoiseModel.rows``): samples are addressed by sample index and
-rendered pixels by pixel index.
+then rounded and clamped to 8 bit, in place in one (n, 3) array. Noise
+comes from one index-addressed stream (``NoiseModel.rows``): samples are
+addressed by sample index and rendered pixels by pixel index. Both pass
+their indices in increasing order, so each 4096-row noise block is drawn
+once and copied in one pass.
 """
 
 from __future__ import annotations
@@ -41,17 +43,26 @@ class NoiseModel:
 
         Row ``i`` is row ``i % 4096`` of the block drawn from (seed, i // 4096),
         so any index set gets the rows one contiguous draw gives those indices.
+        Increasing indices take one pass: each block is drawn once and fills
+        the output rows it covers with one slice.
         """
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        out = np.zeros((indices.size, 3), dtype=float)
         if self.sigma_gray == 0.0 or indices.size == 0:
-            return out
-        order = np.argsort(indices, kind="stable")
-        chunks, starts = np.unique(indices[order] // _NOISE_CHUNK, return_index=True)
-        for chunk, sel in zip(chunks.tolist(), np.split(order, starts[1:])):
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(1, chunk))
+            return np.zeros((indices.size, 3))
+        if not np.all(indices[1:] > indices[:-1]):
+            # unsorted or repeated: no package caller passes these
+            unique, inverse = np.unique(indices, return_inverse=True)
+            return self.rows(unique)[inverse]
+        out = np.empty((indices.size, 3))  # every row is written below
+        ends = [*(np.flatnonzero(np.diff(indices // _NOISE_CHUNK)) + 1).tolist(), indices.size]
+        for a, b in zip([0, *ends], ends):
+            first, last = int(indices[a]), int(indices[b - 1])
+            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(1, first // _NOISE_CHUNK))
             block = np.random.default_rng(seq).normal(0.0, self.sigma_gray, (_NOISE_CHUNK, 3))
-            out[sel] = block[indices[sel] % _NOISE_CHUNK]
+            start = first % _NOISE_CHUNK
+            # increasing, so a run as long as its span is consecutive
+            out[a:b] = (block[start:start + b - a] if last - first == b - a - 1
+                        else block[indices[a:b] % _NOISE_CHUNK])
         return out
 
 
@@ -85,10 +96,14 @@ def slice_values(slices, r, alpha=1.0, gamma_per_m=0.0):
     if not np.all((alpha >= 0) & (alpha <= 1)):
         raise ValueError("reflectance must lie in [0, 1]")
     kappa = Atmosphere(gamma_per_m=gamma_per_m).kappa(r)  # checks gamma
-    # the closed form gated_response picks, via rect_overlap so perfbench counts its distances
-    cols = [cfg.pulses * (rect_overlap(cfg, r) if cfg.is_rectangular else
-                          gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r)) for cfg in slices]
-    return np.stack(cols, axis=1) * (alpha * kappa)[:, None]
+    out = np.empty((r.size, len(slices)))
+    for j, cfg in enumerate(slices):
+        # the closed form gated_response picks, via rect_overlap so perfbench counts its distances
+        overlap = (rect_overlap(cfg, r) if cfg.is_rectangular else
+                   gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r))
+        np.multiply(cfg.pulses, overlap, out=out[:, j])
+    out *= (alpha * kappa)[:, None]
+    return out
 
 
 def calibration_for_peak(slices, r_lo, r_hi, target_peak_gray=200.0, gamma_per_m=0.0, samples=4096):
@@ -114,9 +129,12 @@ def simulate_batch(r, alpha, slices, gamma_per_m, calib, noise: NoiseModel, indi
     """
     if calib <= 0 or not math.isfinite(calib):
         raise ValueError("calibration scalar must be positive and finite")
-    gray = calib * slice_values(slices, r, alpha, gamma_per_m)
-    gray = gray + noise.rows(np.arange(len(gray)) if indices is None else indices)
-    return np.clip(np.rint(gray), 0, 255).astype(np.int64)
+    gray = slice_values(slices, r, alpha, gamma_per_m)
+    gray *= calib
+    gray += noise.rows(np.arange(len(gray)) if indices is None else indices)
+    np.rint(gray, out=gray)
+    np.clip(gray, 0, 255, out=gray)
+    return gray.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,45 @@ class TestCli:
         assert "exceeds 10,000,000" in err
         assert not list((tmp_path / "o").glob("rip_slice*.csv"))
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ("sim.samples = 1000000000000\n", ["simulate"],
+         "bad value for 'sim.samples': 1000000000000 is not in 1..10,000,000"),
+        ("sim.samples = 10000001\n", ["simulate"],
+         "bad value for 'sim.samples': 10000001 is not in 1..10,000,000"),
+        ("network.hidden = 100000-100000\n", ["train"],
+         "bad value for 'network.hidden': hidden layout 100000-100000 has 10,000,400,000 "
+         "weights, more than 1,000,000"),
+        ("", ["gridsearch", "--architectures", "40,100000-100000"],
+         "argument --architectures: hidden layout 100000-100000 has 10,000,400,000 weights, "
+         "more than 1,000,000"),
+    ])
+    def test_oversized_samples_or_layout_is_a_usage_error_before_allocation(
+            self, tmp_path, capsys, monkeypatch, config, argv, message):
+        def refuse(*a, **k):
+            raise AssertionError("allocation reached")
+
+        # Generator.uniform is an immutable C type's method: patch its callers
+        monkeypatch.setattr(UniformRange, "sample", refuse)
+        monkeypatch.setattr(gatedepth.network, "init_params", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        if argv[0] != "simulate":
+            argv = [*argv, "--input", str(tmp_path / "missing.csv")]  # reading it would exit 3
+        try:
+            code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_size_bounds_admit_their_limits(self):
+        assert parse_config("sim.samples = 10000000\n").sim_samples == 10_000_000
+        assert NetworkArch((250_000,)).hidden == (250_000,)  # 3 * 250,000 + 250,000 weights
+        assert NetworkArch((997, 998)).hidden == (997, 998)  # 2,991 + 995,006 + 998 weights
+        with pytest.raises(ValueError, match="layout 250001 has 1,000,004 weights"):
+            NetworkArch((250_001,))
+
     def test_simulate_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sim.samples = 400\nseed = 3\n")

@@ -23,6 +23,7 @@ from gatedepth.gating import (
     rip,
     rip_breakpoints,
     slice_support,
+    _overlap_cubics,
 )
 
 from conftest import rect_overlap_oracle
@@ -44,6 +45,25 @@ class TestShapes:
             GateShape(-5.0)
         with pytest.raises(ValueError):
             GateShape(float("inf"))
+
+    @pytest.mark.parametrize("cls, kind, field, kw", [
+        (PulseShape, "trapezoidal", "rise_ns", dict(fall_ns=10.0)),
+        (PulseShape, "trapezoidal", "fall_ns", dict(rise_ns=10.0)),
+        (GateShape, "trapezoidal", "rise_ns", dict(fall_ns=10.0)),
+        (GateShape, "triangular", "fall_ns", {}),
+        (PulseShape, "gaussian", "sigma_ns", {}),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shape_parameter_is_rejected_by_name(self, cls, kind, field, kw, value):
+        with pytest.raises(ValueError, match=f"{cls.__name__} {field} must be finite, got {value!r}"):
+            cls(100.0, kind, **{field: value}, **kw)
+
+    @pytest.mark.parametrize("kind, kw", [("trapezoidal", dict(rise_ns=float("nan"), fall_ns=10.0)),
+                                          ("gaussian", dict(sigma_ns=float("nan")))])
+    def test_nan_shape_never_reaches_the_overlap(self, kind, kw):
+        with pytest.raises(ValueError, match="must be finite, got nan"):
+            cfg = SliceConfig(1, PulseShape(100.0, kind, **kw), GateShape(150.0), 50.0)
+            rip(cfg, Atmosphere(), np.array([10.0, 20.0]))
 
     @pytest.mark.parametrize(
         "shape",
@@ -368,6 +388,28 @@ class TestPiecewiseCubicOverlap:
         again = gated_response(pulse, gate, delay, r)  # from the memoized table
         np.testing.assert_array_equal(again.view(np.uint64), got.view(np.uint64))
 
+    @given(linear_shapes(PulseShape), linear_shapes(GateShape), st.floats(0.0, 400.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_evaluate_the_table_in_horner_order(self, pulse, gate, delay, seed):
+        assume(not (pulse.kind == gate.kind == "rectangular"))
+        inner, origin, *coef = _overlap_cubics(pulse, gate)
+        assert len(coef) == 4
+        for col in (inner, origin, *coef):
+            assert col.flags.c_contiguous and not col.flags.writeable
+        r_max = 0.5 * C0 * (delay + pulse.width_ns + gate.width_ns)
+        r = np.random.default_rng(seed).uniform(0.0, r_max + 5.0, 5000)  # two 4096-row chunks
+        tau, gate_open = 2.0 * r / C0, pulse.width_ns + delay
+        k = np.searchsorted(inner, tau - gate_open)
+        x = tau - gate_open - origin[k]
+        c0, c1, c2, c3 = (c[k] for c in coef)
+        want = ((c3 * x + c2) * x + c1) * x + c0
+        lo = np.maximum(tau, gate_open)
+        hi = np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns)
+        want = np.where(hi > lo, np.maximum(want, 0.0), 0.0)
+        got = gated_response(pulse, gate, delay, r)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def test_cli_import_defers_the_overlap_table_imports():
     # the exact cubic tables load fractions, and the gaussian rule numpy.polynomial,
@@ -523,6 +565,11 @@ class TestRangeProfile:
             RangeProfile("distance_m", np.array([1.0, 2.0]), np.array([0.0, -1.0]))
         with pytest.raises(ValueError):
             RangeProfile("furlongs", np.array([1.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        with pytest.raises(ValueError, match="profile intensities must be finite"):
+            RangeProfile("distance_m", np.array([1.0, 2.0]), np.array([0.5, bad]))
 
     def test_csv_export(self, tmp_path):
         profile = RangeProfile("distance_m", np.array([1.0, 2.5]), np.array([0.0, 3.25]))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedepth.gating import Atmosphere, GateShape, PulseShape, SliceConfig, slice_support
+from gatedepth.gating import (Atmosphere, GateShape, PulseShape, SliceConfig, gated_response,
+                              slice_support, standard_slices)
 from gatedepth.scene import (
     NoiseModel,
     UniformRange,
@@ -295,3 +296,69 @@ class TestIndexAddressedNoise:
         for a, b in zip(clear.images, masked.images):
             np.testing.assert_array_equal(a[~sky], b[~sky])
             assert not b[sky].any()
+
+
+def reference_simulate(r, alpha, slices, gamma, calib, noise, indices):
+    """``simulate_batch`` in its defining order: stacked slice columns, one
+    noise row looked up per index from its 4096-row block, then rint and clip."""
+    cols = [cfg.pulses * gated_response(cfg.pulse, cfg.gate, cfg.delay_ns, r) for cfg in slices]
+    kappa = Atmosphere(gamma_per_m=gamma).kappa(r)
+    gray = calib * (np.stack(cols, axis=1) * (alpha * kappa)[:, None])
+    rows = np.zeros((len(indices), 3))
+    blocks = {}
+    if noise.sigma_gray:
+        for k, i in enumerate(indices):
+            if i // 4096 not in blocks:
+                seq = np.random.SeedSequence(entropy=noise.seed, spawn_key=(1, i // 4096))
+                blocks[i // 4096] = np.random.default_rng(seq).normal(0.0, noise.sigma_gray, (4096, 3))
+            rows[k] = blocks[i // 4096][i % 4096]
+    return np.clip(np.rint(gray + rows), 0, 255).astype(np.int64)
+
+
+class TestSimulateBatchReference:
+    SPAN = 5 * 4096 + 50  # indices spread over six noise blocks
+    EDGES = [0, 4095, 4096, 8191, 8192, 12287, 12288, 16384, 20479, 20480]
+
+    @staticmethod
+    def check(slices, noise, indices, n, seed):
+        rng = np.random.default_rng(seed)
+        r, alpha = rng.uniform(1.0, 200.0, n), rng.uniform(0.0, 1.0, n)
+        for gamma, calib in ((0.0, 3.0), (0.004, 41.5)):
+            got = simulate_batch(r, alpha, slices, gamma, calib, noise,
+                                 None if indices is None else np.asarray(indices, dtype=np.int64))
+            want = reference_simulate(r, alpha, slices, gamma, calib, noise,
+                                      range(n) if indices is None else indices)
+            assert got.dtype == np.int64 and got.shape == (n, 3)
+            np.testing.assert_array_equal(got, want)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_row_at_a_time_reference(self, data):
+        indices = data.draw(st.one_of(
+            # unsorted, with repeats
+            st.lists(st.one_of(st.integers(0, self.SPAN - 1), st.sampled_from(self.EDGES)),
+                     max_size=300),
+            # increasing with gaps, as render_slices passes its lit pixels
+            st.lists(st.integers(0, self.SPAN - 1), max_size=300, unique=True).map(sorted),
+            # one consecutive run, which may start and end inside a block
+            st.tuples(st.integers(0, self.SPAN - 1), st.integers(0, 9000))
+              .map(lambda t: list(range(t[0], t[0] + t[1]))),
+            st.none(),  # rows 0..n-1, as generate_dataset passes
+        ), label="indices")
+        n = data.draw(st.integers(0, 9000), label="n") if indices is None else len(indices)
+        slices = data.draw(st.lists(finite_edge_slices(), min_size=3, max_size=3), label="slices")
+        noise = NoiseModel(data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="sigma"),
+                           data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        self.check(slices, noise, indices, n, data.draw(st.integers(0, 2**32 - 1), label="rng"))
+
+    @pytest.mark.parametrize("indices", [
+        [],
+        [4103, 4103, 4105],  # as long as its span, but not consecutive
+        [4105, 4103, 4103, 1],
+        [4096, 4097, 4099, 4099, 8200],
+    ])
+    def test_edge_index_sets(self, indices):
+        slices = tuple(SliceConfig(c.pulses, PulseShape(c.pulse.width_ns, "triangular"),
+                                   GateShape(c.gate.width_ns, "trapezoidal", 10.0, 20.0), c.delay_ns)
+                       for c in standard_slices())
+        self.check(slices, NoiseModel(2.0, 17), indices, len(indices), 5)
