@@ -1,9 +1,9 @@
 """Depth estimation from three-slice active gated imaging.
 
 The package covers the full path from gating physics to evaluated depth
-maps: closed-form and numeric gated responses, synthetic labeled data,
-the classical sectioned ratio baseline, a small from-scratch regression
-network with grid search, and distance-binned error reporting.
+maps: closed-form and exact piecewise-cubic gated responses, synthetic
+labeled data, the classical sectioned ratio baseline, a small from-scratch
+regression network with grid search, and distance-binned error reporting.
 """
 
 __version__ = "0.1.0"

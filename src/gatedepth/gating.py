@@ -13,11 +13,9 @@ shapes this puts the sensitive band of a slice at
 ``[c0*t0/2, c0*(t0 + t_pulse + t_gate)/2]`` metres.
 
 Overlaps go through ``gated_response``. Two rectangular shapes take a
-closed form (also behind ``rect_overlap``). Any other pair of
-piecewise-linear shapes overlaps as an exact piecewise cubic in
-``tau - gate_open``, built once per shape pair. A gaussian pulse takes a
-16-node Gauss-Legendre rule on each interval between its and the gate's
-knots.
+closed form (also behind ``rect_overlap``). Any other pair of shapes, all
+piecewise linear, overlaps as an exact piecewise cubic in
+``tau - gate_open``, built once per shape pair.
 """
 
 from __future__ import annotations
@@ -47,19 +45,16 @@ def _check_finite(name, value):
 @dataclass(frozen=True)
 class PulseShape:
     """Unit-peak profile on a finite support [0, width_ns]: the emitted laser
-    pulse's power, and (as ``GateShape``) the sensor gate's gain.
-
-    ``rise_ns``/``fall_ns`` apply to trapezoidal shapes, ``sigma_ns`` to
-    (truncated) gaussian pulses.
+    pulse's power, and (as ``GateShape``) the sensor gate's gain. Every kind
+    is piecewise linear; ``rise_ns``/``fall_ns`` apply to trapezoidal shapes.
     """
 
-    KINDS = ("rectangular", "triangular", "trapezoidal", "gaussian")
+    KINDS = ("rectangular", "triangular", "trapezoidal")
 
     width_ns: float
     kind: str = "rectangular"
     rise_ns: float = 0.0
     fall_ns: float = 0.0
-    sigma_ns: float | None = None
 
     def __post_init__(self):
         name, w = type(self).__name__, self.width_ns
@@ -67,18 +62,13 @@ class PulseShape:
             raise ValueError(f"unknown {name} kind {self.kind!r}")
         if not (math.isfinite(w) and w > 0):
             raise ValueError(f"{name} width must be positive and finite")
-        for field in ("rise_ns", "fall_ns", "sigma_ns"):
-            if getattr(self, field) is not None:
-                _check_finite(f"{name} {field}", getattr(self, field))
+        for field in ("rise_ns", "fall_ns"):
+            _check_finite(f"{name} {field}", getattr(self, field))
         if self.kind == "trapezoidal":
             if self.rise_ns < 0 or self.fall_ns < 0:
                 raise ValueError("rise/fall times must be >= 0")
             if self.rise_ns + self.fall_ns > w:
                 raise ValueError(f"rise + fall must not exceed the {name} width")
-        if self.kind == "gaussian" and self.sigma_ns is None:
-            object.__setattr__(self, "sigma_ns", w / 6.0)
-        if self.sigma_ns is not None and self.sigma_ns <= 0:
-            raise ValueError("gaussian sigma must be positive")
 
     def value(self, t):
         """Power (pulse) or gain (gate) at time ``t``, in ns from the pulse
@@ -90,8 +80,6 @@ class PulseShape:
             out = inside.astype(float)
         elif self.kind == "triangular":
             out = np.where(inside, 1.0 - np.abs(2.0 * t / w - 1.0), 0.0)
-        elif self.kind == "gaussian":  # truncated to the finite support
-            out = np.where(inside, np.exp(-0.5 * ((t - 0.5 * w) / self.sigma_ns) ** 2), 0.0)
         else:  # ramps divide only where they apply, so a tiny edge cannot overflow
             out = np.array(inside, dtype=float)
             if self.rise_ns > 0:
@@ -101,30 +89,19 @@ class PulseShape:
         return out if out.ndim else float(out)
 
     def knots(self):
-        """Support breakpoints. A piecewise-linear shape is linear between
-        them, so every gate knot minus every pulse knot is a breakpoint of
-        their overlap's piecewise cubic.
-
-        A gaussian pulse is also split 1, 2, 4 and 8 sigma either side of its
-        centre, so the fixed-order quadrature rule stays accurate for narrow
-        pulses.
-        """
+        """Support breakpoints. The shape is linear between them, so every
+        gate knot minus every pulse knot is a breakpoint of their overlap's
+        piecewise cubic."""
         w = self.width_ns
         if self.kind == "rectangular":
             return (0.0, w)
         if self.kind == "triangular":
             return (0.0, 0.5 * w, w)
-        if self.kind == "trapezoidal":
-            return (0.0, self.rise_ns, w - self.fall_ns, w)
-        mid = 0.5 * w
-        steps = [k * self.sigma_ns for k in (8, 4, 2, 1) if k * self.sigma_ns < mid]
-        return (0.0, *(mid - d for d in steps), mid, *(mid + d for d in reversed(steps)), w)
+        return (0.0, self.rise_ns, w - self.fall_ns, w)
 
 
 class GateShape(PulseShape):
-    """Sensor gate gain: the pulse profile without the gaussian kind."""
-
-    KINDS = ("rectangular", "triangular", "trapezoidal")
+    """Sensor gate gain: the same profiles as the pulse, named for its role."""
 
 
 @dataclass(frozen=True)
@@ -190,11 +167,15 @@ class Atmosphere:
             raise ValueError("extinction gamma must be >= 0")
 
     def kappa(self, r):
-        """Full distance factor alpha * beta(r) / r^2. Requires r > 0."""
+        """Full distance factor alpha * beta(r) / r^2. Requires r > 0 and a finite factor."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ValueError("irradiance factor is singular at r <= 0")
-        out = self.alpha * np.exp(-2.0 * self.gamma_per_m * r) / (r * r)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+            out = self.alpha * np.exp(-2.0 * self.gamma_per_m * r) / (r * r)
+        bad = r[~np.isfinite(out)]
+        if bad.size:
+            raise ValueError(f"irradiance factor is not finite at r = {float(bad[0])!r} m")
         return out if out.ndim else float(out)
 
 
@@ -234,32 +215,6 @@ class RangeProfile:
 _CHUNK_ROWS = 4096
 
 
-def _overlap_rows(pulse, gate, gate_open, tau):
-    """Overlap integral (ns) of a gaussian pulse with a gate, for 1-D arrays of
-    gate openings and travel times.
-
-    Each interval between knots gets a 16-node Gauss-Legendre rule with
-    interior nodes only: at a knot, ``(tau + w) - tau`` can round to just
-    outside a support.
-    """
-    from numpy.polynomial.legendre import leggauss  # deferred: a slow import
-
-    nodes, weights = leggauss(16)
-    lo = np.maximum(tau, gate_open)
-    hi = np.maximum(np.minimum(tau + pulse.width_ns, gate_open + gate.width_ns), lo)
-    knots = np.concatenate(
-        [tau[:, None] + pulse.knots(), gate_open[:, None] + gate.knots()], axis=1)
-    knots = np.sort(np.clip(knots, lo[:, None], hi[:, None]), axis=1)
-    half = 0.5 * (knots[:, 1:] - knots[:, :-1])
-    mid = 0.5 * (knots[:, 1:] + knots[:, :-1])
-    total = np.zeros(tau.shape)
-    for x, w in zip(nodes, weights):
-        t = mid + half * x
-        f = gate.value(t - gate_open[:, None]) * pulse.value(t - tau[:, None])
-        total += w * (half * f).sum(axis=1)
-    return total
-
-
 @functools.lru_cache(maxsize=16)
 def _overlap_cubics(pulse, gate):
     """The overlap of two piecewise-linear shapes as a piecewise cubic in
@@ -277,7 +232,7 @@ def _overlap_cubics(pulse, gate):
 
     def segments(shape):
         # (start, end, value at start, slope); the value at each knot is the
-        # one-sided limit from both sides for every shipped kind
+        # one-sided limit from both sides for every kind
         k = [Fraction(x) for x in shape.knots()]
         v = [Fraction(shape.value(x)) for x in shape.knots()]
         return [(k0, k1, v0, (v1 - v0) / (k1 - k0))
@@ -355,11 +310,9 @@ def gated_response(pulse: PulseShape, gate: GateShape, delay_ns, r_m):
     Evaluates the time overlap integral of the returning pulse and the gate
     gain for targets at ``r_m`` metres. ``delay_ns`` and ``r_m`` broadcast
     against each other; scalar input gives a float, array input an array.
-    Closed form when both shapes are rectangular; for other piecewise-linear
-    shapes, the exact overlap cubic of the interval holding
-    ``tau - gate_open``, evaluated by Horner's rule; for a gaussian pulse, a
-    16-node Gauss-Legendre rule on each interval between pulse and gate
-    knots. Distances outside the support give exactly 0.0, and no value is
+    Closed form when both shapes are rectangular; otherwise the exact overlap
+    cubic of the interval holding ``tau - gate_open``, evaluated by Horner's
+    rule. Distances outside the support give exactly 0.0, and no value is
     negative. Every value depends on its own (delay, distance) pair only,
     never on the rest of the batch.
     """
@@ -373,12 +326,11 @@ def gated_response(pulse: PulseShape, gate: GateShape, delay_ns, r_m):
     if pulse.kind == "rectangular" and gate.kind == "rectangular":
         out = _rect_closed_form(pulse, gate, gate_open, tau)
     else:
-        rows_of = _overlap_rows if pulse.kind == "gaussian" else _cubic_rows
         flat_open, flat_tau = gate_open.reshape(-1), tau.reshape(-1)
         out = np.empty(flat_tau.shape)
         for start in range(0, out.size, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            out[rows] = rows_of(pulse, gate, flat_open[rows], flat_tau[rows])
+            out[rows] = _cubic_rows(pulse, gate, flat_open[rows], flat_tau[rows])
         out = out.reshape(tau.shape)
     return out if out.ndim else float(out)
 

@@ -98,6 +98,11 @@ class NetworkArch:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
+    @property
+    def chunk_rows(self):
+        """Rows per evaluation chunk, so no hidden activation holds over 8,192 x 64 floats."""
+        return max(1, 8192 * 64 // max((64, *self.hidden)))
+
 
 @dataclass
 class NetworkModel:
@@ -285,6 +290,7 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
     n = x_train.shape[0]
     starts = range(0, n, batch)
     batch_rows = np.array([min(batch, n - start) for start in starts])
+    step = arch.chunk_rows
 
     # A diverging run overflows before the isfinite checks below catch it;
     # numpy's warnings would only repeat what TrainingDivergedError reports.
@@ -319,7 +325,8 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
             stays = np.ones(len(stack.members), dtype=bool)
             for i, k in enumerate(stack.members):
                 member_w, member_b = [w[i] for w in stack.weights], [b[i] for b in stack.biases]
-                val_pred = _forward(member_w, member_b, act, x_val)
+                val_pred = np.concatenate([_forward(member_w, member_b, act, x_val[j:j + step])
+                                           for j in range(0, len(x_val), step)])
                 train_mae, val_mae = float(train_maes[i]), float(np.mean(np.abs(val_pred - y_val)))
                 failure = ("validation pass" if not np.isfinite(val_pred).all() else
                            "loss" if not (math.isfinite(train_mae) and math.isfinite(val_mae)) else
@@ -508,10 +515,11 @@ def predict_depth_batch(model: NetworkModel, triples):
 
 def _valid_ranges(model: NetworkModel, triples):
     """Model ranges of an (n, 3) array of raw valid triples, standardized and
-    forwarded 8,192 rows at a time to bound the hidden activations' memory."""
+    forwarded ``model.arch.chunk_rows`` rows at a time."""
     out = np.empty(len(triples))
-    for i in range(0, len(triples), 8192):
-        out[i:i + 8192] = forward(model, standardize_batch(triples[i:i + 8192]))
+    step = model.arch.chunk_rows
+    for i in range(0, len(triples), step):
+        out[i:i + step] = forward(model, standardize_batch(triples[i:i + step]))
     return out
 
 

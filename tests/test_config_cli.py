@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import gatedepth
 from gatedepth import cli
 from gatedepth.cli import _COMMANDS, build_parser, main
-from gatedepth.config import RunConfig, config_hash, parse_config, serialize_config
+from gatedepth.config import _SCHEMA, RunConfig, config_hash, parse_config, serialize_config
 from gatedepth.errors import ConfigError, DataFormatError
 from gatedepth.gating import standard_slices
 from gatedepth.network import EpochStats, NetworkArch, init_params, load_model, save_model
@@ -22,6 +23,38 @@ from gatedepth.pgmio import write_pgm
 from gatedepth.pipeline import load_samples, prefilter, save_samples
 from gatedepth.scene import NoiseModel, UniformRange, generate_dataset
 from gatedepth.seeding import derive_seed
+
+
+# Config values and lines on which parse_config must return or raise ConfigError: odd
+# numerals, non-finite, subnormal and huge numbers, 5,000-digit fields, blanks and comments
+_NUMERALS = ["", "0", "-0", "+1", "1_000", "0x10", "1e3", "1e308", "1e999", "-1e999", "5e-324",
+             "nan", "NaN", "-inf", "Infinity", "\u0663", "\u00bd", "2**8", "40-20", "40x20", "40--20",
+             "-", "relu", "TANH", "dataset4", "9" * 30, "9" * 4300, "1" * 5000, "0." + "0" * 4999,
+             "1e" + "9" * 20]
+_config_value = st.one_of(
+    st.sampled_from(_NUMERALS), st.integers().map(str), st.floats().map(repr),
+    st.text(st.characters(codec="utf-8", exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+            max_size=12))
+_CONFIG_KEYS = [*_SCHEMA, "slice4.tl_ns", "slice1.t_zero", "Seed", "sim", ""]
+_LINE_FORMS = ["{} = {}", "{} = {}  # note", "{} {}", "", "# {} = {}"]
+
+
+def assert_parses_or_names_the_first_bad_line(lines):
+    """``parse_config`` returns, or raises ConfigError naming the first bad
+    line (or the unordered sim ranges); any other exception fails."""
+    try:
+        parse_config("\n".join(lines))
+    except ConfigError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        if found is None:
+            assert re.match(r"sim\.(r_min_m|alpha_min) = .* must be below sim\.", str(exc))
+            return
+        n = int(found.group(1))
+        assert lines[n - 1].split("#", 1)[0].strip()
+        try:  # the lines before it are fine, up to the ordering of the sim ranges
+            parse_config("\n".join(lines[:n - 1]))
+        except ConfigError as before:
+            assert str(before).startswith("sim.")
 
 
 class TestConfig:
@@ -73,6 +106,21 @@ class TestConfig:
 
     def test_hash_tracks_content(self):
         assert config_hash(parse_config("seed = 1")) != config_hash(parse_config("seed = 2"))
+
+    def test_every_key_with_every_odd_numeral_parses_or_names_its_line(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for key in _CONFIG_KEYS:
+                for value in _NUMERALS:
+                    assert_parses_or_names_the_first_bad_line([f"{key} = {value}"])
+
+    @given(st.lists(st.builds(str.format, st.sampled_from(_LINE_FORMS), st.sampled_from(_CONFIG_KEYS),
+                              _config_value), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_any_lines_parse_or_fail_naming_the_first_bad_line(self, lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_parses_or_names_the_first_bad_line(lines)
 
 
 def test_stage_seed_derivation_is_stable():
@@ -235,6 +283,14 @@ class TestCli:
         assert NetworkArch((997, 998)).hidden == (997, 998)  # 2,991 + 995,006 + 998 weights
         with pytest.raises(ValueError, match="layout 250001 has 1,000,004 weights"):
             NetworkArch((250_001,))
+
+    def test_a_distance_whose_square_underflows_is_a_computation_error(self, tmp_path, capsys):
+        # in-process: a numpy RuntimeWarning here fails the test (pyproject filterwarnings)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sim.r_min_m = 1e-170\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 4
+        assert capsys.readouterr().err == "error: irradiance factor is not finite at r = 1e-170 m\n"
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_simulate_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"

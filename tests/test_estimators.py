@@ -209,7 +209,7 @@ class TestSectionTable:
         assert all(not sec.estimators for sec in table.sections)
 
     def test_non_rectangular_rejected(self):
-        cfg = SliceConfig(1, PulseShape(100.0, kind="gaussian"), GateShape(100.0), 0.0)
+        cfg = SliceConfig(1, PulseShape(100.0, kind="triangular"), GateShape(100.0), 0.0)
         with pytest.raises(UnsupportedShapeError):
             build_section_table([cfg])
 

@@ -45,21 +45,23 @@ class TestShapes:
             GateShape(-5.0)
         with pytest.raises(ValueError):
             GateShape(float("inf"))
+        for cls in (PulseShape, GateShape):
+            assert cls.KINDS == ("rectangular", "triangular", "trapezoidal")
+            with pytest.raises(ValueError, match=f"unknown {cls.__name__} kind 'gaussian'"):
+                cls(100.0, "gaussian")
 
     @pytest.mark.parametrize("cls, kind, field, kw", [
         (PulseShape, "trapezoidal", "rise_ns", dict(fall_ns=10.0)),
         (PulseShape, "trapezoidal", "fall_ns", dict(rise_ns=10.0)),
         (GateShape, "trapezoidal", "rise_ns", dict(fall_ns=10.0)),
         (GateShape, "triangular", "fall_ns", {}),
-        (PulseShape, "gaussian", "sigma_ns", {}),
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_shape_parameter_is_rejected_by_name(self, cls, kind, field, kw, value):
         with pytest.raises(ValueError, match=f"{cls.__name__} {field} must be finite, got {value!r}"):
             cls(100.0, kind, **{field: value}, **kw)
 
-    @pytest.mark.parametrize("kind, kw", [("trapezoidal", dict(rise_ns=float("nan"), fall_ns=10.0)),
-                                          ("gaussian", dict(sigma_ns=float("nan")))])
+    @pytest.mark.parametrize("kind, kw", [("trapezoidal", dict(rise_ns=float("nan"), fall_ns=10.0))])
     def test_nan_shape_never_reaches_the_overlap(self, kind, kw):
         with pytest.raises(ValueError, match="must be finite, got nan"):
             cfg = SliceConfig(1, PulseShape(100.0, kind, **kw), GateShape(150.0), 50.0)
@@ -71,7 +73,7 @@ class TestShapes:
             PulseShape(100.0),
             PulseShape(100.0, kind="triangular"),
             PulseShape(100.0, kind="trapezoidal", rise_ns=20.0, fall_ns=30.0),
-            PulseShape(100.0, kind="gaussian", sigma_ns=15.0),
+            PulseShape(100.0, kind="trapezoidal", rise_ns=0.0, fall_ns=100.0),
         ],
     )
     def test_pulse_nonnegative_with_finite_support(self, shape):
@@ -89,12 +91,10 @@ class TestShapes:
         assert np.all(g[(t < 0) | (t > 200.0)] == 0.0)
 
 
-def reference_profile(t, kind, w, rise, fall, sigma):
+def reference_profile(t, kind, w, rise, fall):
     """The per-kind profile formulas of the former separate pulse and gate classes."""
     t = np.asarray(t, dtype=float)
     inside = (t >= 0.0) & (t <= w)
-    if kind == "gaussian":
-        return np.where(inside, np.exp(-0.5 * ((t - 0.5 * w) / sigma) ** 2), 0.0)
     if kind == "rectangular":
         return inside.astype(float)
     if kind == "triangular":
@@ -108,49 +108,34 @@ def reference_profile(t, kind, w, rise, fall, sigma):
     return out
 
 
-def reference_knots(kind, w, rise, fall, sigma):
+def reference_knots(kind, w, rise, fall):
     """The per-kind knot formulas of the former separate pulse and gate classes."""
     if kind == "rectangular":
         return (0.0, w)
     if kind == "triangular":
         return (0.0, 0.5 * w, w)
-    if kind == "trapezoidal":
-        return (0.0, rise, w - fall, w)
-    mid = 0.5 * w
-    steps = [k * sigma for k in (8, 4, 2, 1) if k * sigma < mid]
-    return (0.0, *(mid - d for d in steps), mid, *(mid + d for d in reversed(steps)), w)
+    return (0.0, rise, w - fall, w)
 
 
 class TestOneShapeClass:
-    PULSE_KINDS = ("rectangular", "triangular", "trapezoidal", "gaussian")
-    GATE_KINDS = ("rectangular", "triangular", "trapezoidal")
-
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_value_and_knots_match_the_per_kind_formulas(self, data):
         cls = data.draw(st.sampled_from([PulseShape, GateShape]), label="class")
-        kinds = self.PULSE_KINDS if cls is PulseShape else self.GATE_KINDS
-        kind = data.draw(st.sampled_from(kinds), label="kind")
+        kind = data.draw(st.sampled_from(("rectangular", "triangular", "trapezoidal")), label="kind")
         w = data.draw(st.floats(0.01, 1000.0), label="width")
         edge = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5))
         rise, fall = (data.draw(edge) * w, data.draw(edge) * w) if kind == "trapezoidal" else (0.0, 0.0)
-        sigma = data.draw(st.one_of(st.none(), st.floats(0.001, 1000.0)), label="sigma")
-        if cls is GateShape:
-            sigma = None
-            with pytest.raises(ValueError):
-                GateShape(w, "gaussian")
-        shape = cls(w, kind, rise, fall, sigma)
-        if kind == "gaussian" and sigma is None:
-            sigma = w / 6.0
+        shape = cls(w, kind, rise, fall)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        knots = np.array(reference_knots(kind, w, rise, fall, sigma))
+        knots = np.array(reference_knots(kind, w, rise, fall))
         t = np.concatenate([rng.uniform(-0.5 * w, 1.5 * w, 64), knots,
                             np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
-        got, want = shape.value(t), reference_profile(t, kind, w, rise, fall, sigma)
+        got, want = shape.value(t), reference_profile(t, kind, w, rise, fall)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         scalar = shape.value(float(t[0]))
         assert type(scalar) is float and scalar == want[0]
-        assert shape.knots() == reference_knots(kind, w, rise, fall, sigma)
+        assert shape.knots() == reference_knots(kind, w, rise, fall)
 
 
 class TestGatedResponse:
@@ -175,9 +160,9 @@ class TestGatedResponse:
             got = gated_response(PulseShape(tl), GateShape(tg), t0, r)
             assert got == pytest.approx(rect_overlap_oracle(tl, tg, t0, r), abs=1e-9)
 
-    def test_closed_form_agrees_with_quadrature(self):
+    def test_closed_form_agrees_with_the_cubic_table(self):
         # a zero-rise trapezoid evaluates identically to a rectangle but is
-        # routed through the numeric integrator
+        # routed through the exact piecewise-cubic table
         rng = np.random.default_rng(7)
         for _ in range(100):
             tl = rng.uniform(20.0, 300.0)
@@ -226,17 +211,17 @@ class TestGatedResponse:
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
     @pytest.mark.parametrize("pulse, gate", [
-        (PulseShape(120.0, "gaussian", sigma_ns=25.0), GateShape(180.0)),
-        (PulseShape(120.0, "gaussian", sigma_ns=25.0), GateShape(180.0, "triangular")),
-        (PulseShape(120.0, "gaussian", sigma_ns=25.0), GateShape(180.0, "trapezoidal", rise_ns=30.0, fall_ns=50.0)),
-        (PulseShape(120.0, "gaussian", sigma_ns=1.2), GateShape(180.0, "triangular")),
+        (PulseShape(120.0, "triangular"), GateShape(180.0)),
+        (PulseShape(120.0, "trapezoidal", rise_ns=0.0, fall_ns=120.0), GateShape(180.0, "triangular")),
+        (PulseShape(120.0, "triangular"), GateShape(180.0, "trapezoidal", rise_ns=30.0, fall_ns=50.0)),
+        (PulseShape(1.2, "triangular"), GateShape(180.0, "triangular")),
         (PulseShape(120.0, "triangular"), GateShape(180.0, "triangular")),
         (PulseShape(120.0, "trapezoidal", rise_ns=40.0, fall_ns=25.0),
          GateShape(180.0, "trapezoidal", rise_ns=70.0, fall_ns=50.0)),
     ])
     def test_matches_64_node_reference(self, pulse, gate):
         # sloped pulse and gate edges overlap, so the integrand is quadratic
-        # (or gaussian) between knots; the reference splits each interval
+        # between knots; the reference splits each interval
         # between the edge and centre knots into 16 panels of 64 nodes
         nodes, weights = np.polynomial.legendre.leggauss(64)
         delay = 40.0
@@ -258,7 +243,7 @@ class TestGatedResponse:
 
     @pytest.mark.parametrize("pulse", [PulseShape(150.0), PulseShape(150.0, "triangular"),
                                        PulseShape(150.0, "trapezoidal", rise_ns=20.0, fall_ns=35.0),
-                                       PulseShape(150.0, "gaussian")])
+                                       PulseShape(150.0, "trapezoidal", rise_ns=75.0, fall_ns=75.0)])
     def test_array_input_gives_scalar_bits(self, pulse):
         gate = GateShape(200.0, "trapezoidal", rise_ns=25.0, fall_ns=10.0)
         r = np.linspace(0.0, 80.0, 301)
@@ -294,11 +279,6 @@ class TestGatedResponse:
             gated_response(PulseShape(100.0), GateShape(100.0), 10.0, -1.0)
         with pytest.raises(ValueError):
             gated_response(PulseShape(100.0), GateShape(100.0), float("nan"), 5.0)
-
-    def test_smooth_pulse_quadrature_is_positive_inside_support(self):
-        pulse = PulseShape(100.0, kind="gaussian", sigma_ns=20.0)
-        mid = gated_response(pulse, GateShape(200.0), 0.0, 25.0)
-        assert mid > 0.0
 
     def test_trapezoid_edges_soften_the_response_corners(self):
         # a pulse with finite rise/fall never exceeds the rectangular overlap
@@ -412,8 +392,8 @@ class TestPiecewiseCubicOverlap:
 
 
 def test_cli_import_defers_the_overlap_table_imports():
-    # the exact cubic tables load fractions, and the gaussian rule numpy.polynomial,
-    # on first use only, so start-up does not pay for them
+    # the exact cubic tables load fractions on first use only, and nothing loads
+    # numpy.polynomial, so start-up does not pay for them
     src = str(Path(gatedepth.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, gatedepth.cli; "
@@ -499,12 +479,12 @@ class TestRip:
             with pytest.raises(ValueError, match=message):
                 rip(cfg, Atmosphere(), np.array([1.0, r, 2.0]), include_irradiance=irradiance)
 
-    def test_non_rectangular_profile_goes_through_quadrature(self):
+    def test_non_rectangular_profile_goes_through_the_cubic_table(self):
         cfg = SliceConfig(3, PulseShape(100.0, kind="triangular"), GateShape(150.0), 50.0)
         grid = np.linspace(10.0, 60.0, 40)
         profile = rip(cfg, Atmosphere(), grid, include_irradiance=False)
         assert profile.intensities.max() > 0
-        # pulse-count scaling still applies on the numeric path
+        # pulse-count scaling still applies on the cubic-table path
         single = rip(SliceConfig(1, cfg.pulse, cfg.gate, cfg.delay_ns), Atmosphere(), grid,
                      include_irradiance=False)
         np.testing.assert_allclose(profile.intensities, 3 * single.intensities, rtol=1e-9)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatedepth import network
 from gatedepth.errors import TrainingDivergedError
 from gatedepth.network import (
     GridPoint,
@@ -592,6 +593,38 @@ class TestPredict:
         triples = np.tile([10.0, 100.0, 30.0], (10_000, 1))
         with pytest.raises(ValueError, match="^8192 of 8192 network inputs predict a non-finite"):
             predict_depth_batch(model, triples)
+
+    @pytest.mark.parametrize("hidden, rows", [((), 8192), ((40,), 8192), ((40, 64, 20), 8192),
+                                              ((65,), 8065), ((1000,), 524), ((997, 998), 525),
+                                              ((250_000,), 2)])
+    def test_chunks_shrink_with_the_widest_layer(self, hidden, rows):
+        assert NetworkArch(hidden).chunk_rows == rows
+
+    def test_prediction_and_validation_forward_at_most_one_chunk(self, monkeypatch):
+        arch = NetworkArch((1000,), "tanh")  # 524 rows per chunk
+        rng = np.random.default_rng(3)
+        triples = rng.integers(0, 231, (1500, 3)).astype(float)
+        x_val = standardize_batch(triples[:1200])
+        y_val = rng.uniform(10.0, 100.0, 1200)
+        unchunked = network._forward
+        rows = []
+
+        def spy(weights, biases, act, x, cache=None):
+            rows.append(x.shape[-2])
+            return unchunked(weights, biases, act, x, cache)
+
+        monkeypatch.setattr(network, "_forward", spy)
+        model, history = train((x_val[:40], y_val[:40]), (x_val, y_val), arch,
+                               TrainConfig(0.01, 16, max_epochs=1, patience=1, seed=2))
+        assert max(rows) == 524 and rows.count(524) == 2 and sum(rows) == 40 + 1200
+        want = unchunked(model.weights, model.biases, np.tanh, x_val)
+        assert history[0].val_mae == float(np.mean(np.abs(want - y_val)))
+        rows.clear()
+        got = predict_depth_batch(model, triples)
+        valid = ~np.isnan(got)
+        assert max(rows) <= 524 and sum(rows) == valid.sum() > 1000
+        want = unchunked(model.weights, model.biases, np.tanh, standardize_batch(triples[valid]))
+        assert same_bits(got[valid], want)
 
     def test_batch_matches_scalar(self):
         model = init_params(NetworkArch((8,), "relu"), seed=1)
