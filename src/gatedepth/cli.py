@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -67,11 +68,13 @@ def _cmd_rip(cfg: RunConfig, args, out: Path):
     r_max = max(ends)
     i = ends.index(r_max) + 1
     points = (r_max + 10.0) / args.r_step  # a float: no overflow, inf at worst
+    keys = f"slice{i}.t0_ns, slice{i}.tl_ns or slice{i}.tg_ns, which set r_max = {r_max:.6g} m"
     if points > MAX_RIP_POINTS:
-        raise ConfigError(
-            f"rip grid of {points:.3g} points exceeds {MAX_RIP_POINTS:,}: raise --r-step "
-            f"or lower slice{i}.t0_ns, slice{i}.tl_ns or slice{i}.tg_ns, which set r_max "
-            f"= {r_max:.6g} m")
+        raise ConfigError(f"rip grid of {points:.3g} points exceeds {MAX_RIP_POINTS:,}: "
+                          f"raise --r-step or lower {keys}")
+    if args.r_step >= r_max + 10.0:  # the grid runs from --r-step up to r_max + 10 m
+        raise ConfigError(f"--r-step {args.r_step:.6g} m leaves the rip grid empty: lower it "
+                          f"below r_max + 10 = {r_max + 10.0:.6g} m or raise {keys}")
     grid = np.arange(args.r_step, r_max + 10.0, args.r_step)
     for i, s in enumerate(cfg.slices, start=1):
         profile = rip(s, atmo, grid, include_irradiance=args.irradiance)
@@ -251,7 +254,10 @@ def _arg(parse, many=False):
     return convert
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser of the process: ``main`` reuses it, since a parse
+    keeps no state in it (string defaults go through ``type=`` on every parse)."""
     parser = argparse.ArgumentParser(
         prog="gatedepth",
         description="Depth estimation from three gated imaging slices.",
@@ -326,8 +332,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:

@@ -34,25 +34,25 @@ MODEL_FORMAT = "gated-depth-net"
 MODEL_VERSION = 1
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 def _relu_grad(z, _a):
     return z > 0.0  # derivative at the kink is taken as 0; multiplies as 1.0 or 0.0
 
 
-def _tanh(z):
-    return np.tanh(z)
+def _tanh(z, out=None):
+    return np.tanh(z, out=out)
 
 
 def _tanh_grad(_z, a):
     return 1.0 - a * a
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
+def _sigmoid(z, out=None):
+    out = np.empty_like(z) if out is None else out
+    pos = z >= 0  # ``out`` may be ``z``: each element is read before it is written
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
@@ -141,14 +141,19 @@ def _forward(weights, biases, act, x, cache=None):
     """Network output for an (n, 3) batch, or (K, n) outputs for a (K, n, 3)
     stack through K stacked parameter sets, given as (K, 1, in, out) weights
     and (K, 1, out) biases; a given ``cache`` list receives each layer's
-    (input, pre-activation, output) for backprop."""
+    (input, pre-activation, output) for backprop. Without a cache, the bias
+    and the activation work in place on each product, with the same bits."""
     a = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         # one-row products: BLAS rounds a whole-batch a @ w by batch size, a
         # row alone does not, and a stacked member's row rounds as it would alone
-        z = (a[..., None, :] @ w)[..., 0, :] + b
-        a_next = act(z) if i < last else z  # linear output layer
+        z = (a[..., None, :] @ w)[..., 0, :]
+        z += b  # a fresh product that only this layer reads
+        if i == last:  # linear output layer
+            a_next = z
+        else:  # in place, unless backprop will read z
+            a_next = act(z, out=z if cache is None else None)
         if cache is not None:
             cache.append((a, z, a_next))
         a = a_next

@@ -17,7 +17,7 @@ from gatedepth import cli
 from gatedepth.cli import _COMMANDS, build_parser, main
 from gatedepth.config import _SCHEMA, RunConfig, config_hash, parse_config, serialize_config
 from gatedepth.errors import ConfigError, DataFormatError
-from gatedepth.gating import standard_slices
+from gatedepth.gating import slice_support, standard_slices
 from gatedepth.network import EpochStats, NetworkArch, init_params, load_model, save_model
 from gatedepth.pgmio import write_pgm
 from gatedepth.pipeline import load_samples, prefilter, save_samples
@@ -243,6 +243,16 @@ class TestCli:
         for key in ("--r-step", f"{farthest}.t0_ns", f"{farthest}.tl_ns", f"{farthest}.tg_ns"):
             assert key in err
         assert "exceeds 10,000,000" in err
+        assert not list((tmp_path / "o").glob("rip_slice*.csv"))
+
+    @pytest.mark.parametrize("step", [1e300, max(slice_support(s)[1] for s in standard_slices())
+                                      + 10.0 + 1.0])
+    def test_a_step_past_the_grid_end_is_a_usage_error_naming_it(self, tmp_path, capsys, step):
+        r_max = max(slice_support(s)[1] for s in standard_slices())
+        assert main(["--out", str(tmp_path / "o"), "rip", "--r-step", repr(step)]) == 2
+        err = capsys.readouterr().err
+        assert f"--r-step {step:.6g} m leaves the rip grid empty" in err
+        assert f"r_max + 10 = {r_max + 10.0:.6g} m" in err and "slice3.t0_ns" in err
         assert not list((tmp_path / "o").glob("rip_slice*.csv"))
 
     @pytest.mark.parametrize("config, argv, message", [

@@ -151,6 +151,40 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.array([np.nan, 0.0, 0.0]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(activation=st.sampled_from(sorted(network.ACTIVATIONS)),
+           hidden=st.lists(st.integers(1, 9), max_size=3), members=st.integers(0, 3),
+           stacked_input=st.booleans(), rows=st.integers(1, 17),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e200]), seed=st.integers(0, 2**32 - 1))
+    def test_cache_free_forward_matches_the_cache_path_bit_for_bit(
+            self, activation, hidden, members, stacked_input, rows, scale, seed):
+        """Without a cache the bias and the activation run in place on each
+        layer's product: same bits as the cache path, whose pre-activations
+        stay intact for backprop, and no argument changes. ``members`` > 0
+        stacks (K, 1, in, out) weights and (K, 1, out) biases, fed an (n, 3)
+        batch or a (K, n, 3) stack."""
+        rng = np.random.default_rng(seed)
+        dims = (3, *hidden, 1)
+        lead = (members, 1) if members else ()
+        weights = [rng.normal(0.0, scale, (*lead, dims[i], dims[i + 1]))
+                   for i in range(len(dims) - 1)]
+        biases = [rng.normal(0.0, scale, (*lead, dims[i + 1])) * rng.integers(0, 2, dims[i + 1])
+                  for i in range(len(dims) - 1)]  # some biases exactly zero
+        x = rng.normal(0.0, 2.0, (members, rows, 3) if members and stacked_input else (rows, 3))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        before = [a.tobytes() for a in (x, *weights, *biases)]
+        act = network.ACTIVATIONS[activation][0]
+        cache = []
+        with np.errstate(all="ignore"):  # 1e200 weights overflow, alike on both paths
+            free = network._forward(weights, biases, act, x)
+            cached = network._forward(weights, biases, act, x, cache)
+            fresh = [(a[..., None, :] @ w)[..., 0, :] + b for (a, _, _), w, b in
+                     zip(cache, weights, biases)]
+        assert free.shape == cached.shape == ((members, rows) if members else (rows,))
+        assert free.tobytes() == cached.tobytes()
+        assert [z.tobytes() for _, z, _ in cache] == [z.tobytes() for z in fresh]
+        assert [a.tobytes() for a in (x, *weights, *biases)] == before
+
 
 class TestLoss:
     def test_exact_match(self):

@@ -474,6 +474,26 @@ class TestStandardize:
         assert moved.tobytes() == z.tobytes()
         assert np.array_equal(z, standardize_batch(base[varied] - base[varied][:, 2:]))
 
+    @given(st.lists(st.one_of(st.tuples(*[st.integers(0, 255)] * 3),
+                              st.tuples(*[st.floats(-1e6, 1e6)] * 3)), min_size=1, max_size=30),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_kernel_equals_the_written_out_formula(self, rows, as_int):
+        """Same bits as ``e / sqrt(q / 2)`` written out with fresh arrays, and
+        a float64 input comes back unchanged."""
+        integral = as_int and all(float(v).is_integer() for row in rows for v in row)
+        given_rows = np.array(rows, dtype=np.int64 if integral else float)
+        before = given_rows.tobytes()
+        v = given_rows.astype(float)
+        e = 3.0 * v - (v[:, 0] + v[:, 1] + v[:, 2])[:, None]
+        q = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]
+        if np.any(q == 0.0):
+            with pytest.raises(DegenerateSampleError):
+                standardize_batch(given_rows)
+        else:
+            assert standardize_batch(given_rows).tobytes() == (e / np.sqrt(q / 2.0)[:, None]).tobytes()
+        assert given_rows.tobytes() == before
+
     def test_matches_the_mean_and_std_formula(self):
         rng = np.random.default_rng(4)
         triples = np.vstack([rng.integers(0, 256, (5000, 3)), rng.uniform(-50, 300, (5000, 3))])
