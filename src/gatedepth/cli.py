@@ -332,7 +332,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse drops a "--" value: "--input=--" parses as []
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:

@@ -287,12 +287,14 @@ def _cubic_rows(pulse, gate, gate_open, tau):
     x = tau - gate_open
     k = np.searchsorted(inner, x)
     x -= origin[k]
+    outside = ~(hi > lo)
+    x[outside] = 0.0  # an end interval's cubic extrapolated far out can overflow
     out = coef[3][k]
     for c in coef[2::-1]:  # ((c3*x + c2)*x + c1)*x + c0
         out *= x
         out += c[k]
     np.maximum(out, 0.0, out=out)
-    out[~(hi > lo)] = 0.0
+    out[outside] = 0.0
     return out
 
 

@@ -100,6 +100,19 @@ class TestOneParserPerProcess:
         assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("argv", [["--config=--", "sections"], ["--seed=--", "sections"],
+                                  ["--out=--", "sections"], ["rip", "--r-step=--"],
+                                  ["eval", "--input=--", "--baseline"], ["probe", "--model=--"],
+                                  ["gridsearch", "--input={samples}", "--learning-rates=--"]])
+def test_a_double_dash_value_is_a_usage_error(tmp_path, files, argv):
+    # argparse removes a "--" value, which would leave the option an empty list
+    argv = [a.format_map(files) for a in argv]
+    code, err = run(argv if argv[0].startswith("--out") else ["--out", tmp_path, *argv])
+    flag = next(a for a in argv if a.endswith("=--")).split("=")[0]
+    assert code == 2 and f"argument {flag}: expected one argument" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Odd flag values: zero, negative, non-finite, huge, subnormal, 5,000-digit
 # numbers (and 4,000-digit ones, which int() still parses), empty and blank
 # items, and values argparse may read as an option.
