@@ -34,7 +34,7 @@ MODEL_FORMAT = "gated-depth-net"
 MODEL_VERSION = 1
 
 
-def _relu(z, out=None):
+def _relu(z, out):
     return np.maximum(z, 0.0, out=out)
 
 
@@ -42,7 +42,7 @@ def _relu_grad(z, _a):
     return z > 0.0  # derivative at the kink is taken as 0; multiplies as 1.0 or 0.0
 
 
-def _tanh(z, out=None):
+def _tanh(z, out):
     return np.tanh(z, out=out)
 
 
@@ -50,8 +50,7 @@ def _tanh_grad(_z, a):
     return 1.0 - a * a
 
 
-def _sigmoid(z, out=None):
-    out = np.empty_like(z) if out is None else out
+def _sigmoid(z, out):
     pos = z >= 0  # ``out`` may be ``z``: each element is read before it is written
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -141,19 +140,19 @@ def _forward(weights, biases, act, x, cache=None):
     """Network output for an (n, 3) batch, or (K, n) outputs for a (K, n, 3)
     stack through K stacked parameter sets, given as (K, 1, in, out) weights
     and (K, 1, out) biases; a given ``cache`` list receives each layer's
-    (input, pre-activation, output) for backprop. Without a cache, the bias
-    and the activation work in place on each product, with the same bits."""
+    (input, activation argument, output) for backprop. The bias and the
+    activation work in place on each layer's fresh product, so a hidden
+    layer's middle entry is its output: ``_relu_grad``'s ``z > 0`` reads
+    ``max(z, 0)`` as it reads ``z``, and the other gradients read only the
+    output."""
     a = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         # one-row products: BLAS rounds a whole-batch a @ w by batch size, a
         # row alone does not, and a stacked member's row rounds as it would alone
         z = (a[..., None, :] @ w)[..., 0, :]
-        z += b  # a fresh product that only this layer reads
-        if i == last:  # linear output layer
-            a_next = z
-        else:  # in place, unless backprop will read z
-            a_next = act(z, out=z if cache is None else None)
+        z += b
+        a_next = act(z, out=z) if i < last else z  # linear output layer
         if cache is not None:
             cache.append((a, z, a_next))
         a = a_next

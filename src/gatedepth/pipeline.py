@@ -327,18 +327,11 @@ def standardize_batch(intensities):
     """Per-row z-scores (ddof=1) of an (n, 3) array as ``e / sqrt(q / 2)``, ``e = 3*v - sum(v)``,
     ``q = sum(e**2)``: exact for integers, so a function of ``(s1 - s3, s2 - s3)`` bit for bit."""
     v = np.asarray(intensities, dtype=float).reshape(-1, 3)
-    total = v[:, 0] + v[:, 1]
-    total += v[:, 2]
-    e = np.multiply(v, 3.0)  # a new array: the caller's rows stay as they are
-    e -= total[:, None]
-    sq = np.square(e)
-    q = sq[:, 0] + sq[:, 1]
-    q += sq[:, 2]
+    e = 3.0 * v - (v[:, 0] + v[:, 1] + v[:, 2])[:, None]
+    q = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]
     if np.any(q == 0.0):
         raise DegenerateSampleError("batch contains zero-spread triples")
-    q /= 2.0
-    e /= np.sqrt(q, out=q)[:, None]
-    return e
+    return e / np.sqrt(q / 2.0)[:, None]
 
 
 def standardized_arrays(data: RawDataset):

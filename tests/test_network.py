@@ -158,9 +158,11 @@ class TestForward:
            scale=st.sampled_from([1e-3, 1.0, 30.0, 1e200]), seed=st.integers(0, 2**32 - 1))
     def test_cache_free_forward_matches_the_cache_path_bit_for_bit(
             self, activation, hidden, members, stacked_input, rows, scale, seed):
-        """Without a cache the bias and the activation run in place on each
-        layer's product: same bits as the cache path, whose pre-activations
-        stay intact for backprop, and no argument changes. ``members`` > 0
+        """The bias and the activation run in place on each layer's product:
+        with or without a cache, the output has the bits of a forward written
+        with fresh arrays, backprop through the in-place cache (a hidden
+        layer's middle entry is its output) gives the gradients of the true
+        pre-activations bit for bit, and no argument changes. ``members`` > 0
         stacks (K, 1, in, out) weights and (K, 1, out) biases, fed an (n, 3)
         batch or a (K, n, 3) stack."""
         rng = np.random.default_rng(seed)
@@ -173,16 +175,25 @@ class TestForward:
         x = rng.normal(0.0, 2.0, (members, rows, 3) if members and stacked_input else (rows, 3))
         x[rng.random(x.shape) < 0.2] = 0.0
         before = [a.tobytes() for a in (x, *weights, *biases)]
-        act = network.ACTIVATIONS[activation][0]
-        cache = []
-        with np.errstate(all="ignore"):  # 1e200 weights overflow, alike on both paths
+        act, act_grad = network.ACTIVATIONS[activation]
+        fresh_act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
+                     "sigmoid": lambda z: np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                                                   np.exp(z) / (1.0 + np.exp(z)))}[activation]
+        cache, fresh_cache = [], []
+        with np.errstate(all="ignore"):  # 1e200 weights overflow, alike on every path
             free = network._forward(weights, biases, act, x)
             cached = network._forward(weights, biases, act, x, cache)
-            fresh = [(a[..., None, :] @ w)[..., 0, :] + b for (a, _, _), w, b in
-                     zip(cache, weights, biases)]
+            a = x
+            for i, (w, b) in enumerate(zip(weights, biases)):
+                z = (a[..., None, :] @ w)[..., 0, :] + b
+                fresh_cache.append((a, z, fresh_act(z) if i < len(weights) - 1 else z))
+                a = fresh_cache[-1][2]
+            err = rng.normal(0.0, 1.0, cached.shape)
+            grads = network._backprop(weights, cache, err, act_grad)
+            fresh_grads = network._backprop(weights, fresh_cache, err, act_grad)
         assert free.shape == cached.shape == ((members, rows) if members else (rows,))
-        assert free.tobytes() == cached.tobytes()
-        assert [z.tobytes() for _, z, _ in cache] == [z.tobytes() for z in fresh]
+        assert free.tobytes() == cached.tobytes() == a[..., 0].tobytes()
+        assert [g.tobytes() for gs in grads for g in gs] == [g.tobytes() for gs in fresh_grads for g in gs]
         assert [a.tobytes() for a in (x, *weights, *biases)] == before
 
 

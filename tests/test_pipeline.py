@@ -478,9 +478,9 @@ class TestStandardize:
                               st.tuples(*[st.floats(-1e6, 1e6)] * 3)), min_size=1, max_size=30),
            st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_in_place_kernel_equals_the_written_out_formula(self, rows, as_int):
-        """Same bits as ``e / sqrt(q / 2)`` written out with fresh arrays, and
-        a float64 input comes back unchanged."""
+    def test_equals_the_written_out_formula_and_leaves_the_input_alone(self, rows, as_int):
+        """Same bits as ``e / sqrt(q / 2)`` written out term by term, and a
+        float64 input comes back unchanged."""
         integral = as_int and all(float(v).is_integer() for row in rows for v in row)
         given_rows = np.array(rows, dtype=np.int64 if integral else float)
         before = given_rows.tobytes()
