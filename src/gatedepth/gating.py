@@ -287,14 +287,15 @@ def _cubic_rows(pulse, gate, gate_open, tau):
     x = tau - gate_open
     k = np.searchsorted(inner, x)
     x -= origin[k]
-    outside = ~(hi > lo)
-    x[outside] = 0.0  # an end interval's cubic extrapolated far out can overflow
     out = coef[3][k]
-    for c in coef[2::-1]:  # ((c3*x + c2)*x + c1)*x + c0
-        out *= x
-        out += c[k]
+    # rows outside the support extrapolate an end interval's cubic, which can
+    # overflow (coefficients near 1e308 for a subnormal edge); they are zeroed below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coef[2::-1]:  # ((c3*x + c2)*x + c1)*x + c0
+            out *= x
+            out += c[k]
     np.maximum(out, 0.0, out=out)
-    out[outside] = 0.0
+    out[~(hi > lo)] = 0.0
     return out
 
 
