@@ -207,14 +207,17 @@ def baseline_estimate(triples, table: SectionTable, dark_floor=6.0, tolerance_m=
     """Sectioned ratio-correlation depth estimates over an ``(n, k)`` block.
 
     Slices below ``dark_floor`` count as unlit. Candidate sections are those
-    whose lit slices cover the observed ones; each applicable estimator is
-    evaluated and kept only when its estimate is self-consistent (falls back
-    inside the section, within ``tolerance_m``). A row's result is the mean
-    of its surviving estimates, summed in section/estimator order, and NaN
-    when none survives -- the absolute dark threshold means rescaling
-    intensities is only guaranteed to be neutral while it flips no slice
-    between lit and dark. A single 1-D triple returns a float, or None when
-    undecidable.
+    whose lit slices cover the observed ones; each of their estimators that
+    reads two lit slices is evaluated and kept only when its estimate is
+    self-consistent (falls back inside the section, within ``tolerance_m``).
+    A row's result is the mean of its surviving estimates, summed in
+    section/estimator order, and NaN when none survives -- the absolute dark
+    threshold means rescaling intensities is only guaranteed to be neutral
+    while it flips no slice between lit and dark. A single 1-D triple returns
+    a float, or None when undecidable.
+
+    Which estimators apply depends only on the row's lit pattern, so rows are
+    grouped by pattern and each group runs just its own estimators.
     """
     values = np.asarray(triples, dtype=float)
     k = len(table.slices)
@@ -224,20 +227,28 @@ def baseline_estimate(triples, table: SectionTable, dark_floor=6.0, tolerance_m=
         raise ValueError("intensities must be finite")
 
     block = values.reshape(-1, k)
-    lit = block >= dark_floor
-    total = np.zeros(block.shape[0])
-    count = np.zeros(block.shape[0], dtype=int)
-    for sec in table.sections:
-        candidate = np.all(lit <= (np.array(sec.behaviors) != DARK), axis=1)
-        for est in sec.estimators:
-            r_hat = est.estimate(block[:, est.index_a], block[:, est.index_b])
-            keep = (candidate & lit[:, est.index_a] & lit[:, est.index_b] & np.isfinite(r_hat)
-                    & (sec.r_lo - tolerance_m <= r_hat) & (r_hat <= sec.r_hi + tolerance_m))
+    pattern = (block >= dark_floor) @ (1 << np.arange(k))  # bit i: slice i is lit
+    out = np.full(block.shape[0], np.nan)
+    for code in np.unique(pattern):
+        lit = frozenset(i for i in range(k) if code >> i & 1)
+        steps = [(sec, est) for sec in table.sections if lit <= sec.lit
+                 for est in sec.estimators if est.index_a in lit and est.index_b in lit]
+        if not steps:
+            continue
+        rows = np.flatnonzero(pattern == code)
+        group = block[rows]
+        total = np.zeros(rows.size)
+        count = np.zeros(rows.size, dtype=int)
+        for sec, est in steps:
+            r_hat = est.estimate(group[:, est.index_a], group[:, est.index_b])
+            keep = (np.isfinite(r_hat) & (sec.r_lo - tolerance_m <= r_hat)
+                    & (r_hat <= sec.r_hi + tolerance_m))
             np.add(total, r_hat, out=total, where=keep)
             count += keep
-    out = np.divide(total, count, out=np.full(block.shape[0], np.nan), where=count > 0)
+        out[rows] = np.divide(total, count, out=np.full(rows.size, np.nan), where=count > 0)
     if values.ndim == 1:
-        return None if count[0] == 0 else float(out[0])
+        # a sum of finite estimates is never NaN, so NaN means none survived
+        return None if np.isnan(out[0]) else float(out[0])
     return out
 
 

@@ -46,10 +46,17 @@ class BinnedError:
         write_table(path, _BIN_HEADER, zip(*self.rows))
 
 
+def _check_bin_width(bin_width_m):
+    if not (math.isfinite(bin_width_m) and bin_width_m > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width_m!r}")
+
+
 def bin_index(values, bin_width_m):
     """Integer bin ``floor(v / bin_width_m)`` of each value, the bin spanning
-    ``[k, k + 1) * bin_width_m``; ``ValueError`` naming the value and the
-    width when a bin index leaves the int64 range."""
+    ``[k, k + 1) * bin_width_m``; ``ValueError`` naming the width when it is
+    not finite and positive, and naming the value and the width when a bin
+    index leaves the int64 range."""
+    _check_bin_width(bin_width_m)
     values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # out-of-range bins are rejected below
         k = np.floor(values / bin_width_m)
@@ -64,25 +71,27 @@ def binned_mae(predicted, truth, bin_width_m=5.0) -> BinnedError:
     """Per-bin absolute/relative MAE; samples are assigned by true range.
 
     Non-finite predictions are dropped (they count toward coverage only) and
-    empty bins are omitted.
+    empty bins are omitted. One stable sort by bin puts each bin's errors in
+    a contiguous run, in input order.
     """
     predicted = np.asarray(predicted, dtype=float).reshape(-1)
     truth = np.asarray(truth, dtype=float).reshape(-1)
     if predicted.size == 0 or predicted.shape != truth.shape:
         raise ValueError("need matching non-empty prediction/truth arrays")
-    if bin_width_m <= 0:
-        raise ValueError("bin width must be positive")
+    _check_bin_width(bin_width_m)
     keep = np.isfinite(predicted)
     predicted, truth = predicted[keep], truth[keep]
     rows = []
     if predicted.size:
-        err = np.abs(predicted - truth)
         idx = bin_index(truth, bin_width_m)
-        for k in np.unique(idx):
-            sel = idx == k
+        order = np.argsort(idx, kind="stable")
+        err = np.abs(predicted - truth)[order]
+        bins, starts, counts = np.unique(idx[order], return_index=True, return_counts=True)
+        for k, start, n in zip(bins, starts, counts):
+            sel = err[start:start + n]
             center = float((k + 0.5) * bin_width_m)
-            mae = float(err[sel].mean())
-            rows.append(BinRow(center, mae, float(err[sel].std()), mae / center, int(sel.sum())))
+            mae = float(sel.mean())
+            rows.append(BinRow(center, mae, float(sel.std()), mae / center, int(n)))
     return BinnedError(tuple(rows))
 
 

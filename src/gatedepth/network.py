@@ -550,6 +550,19 @@ def valid_probe_triples(s1, s2, s3, max_gray=230, contrast_floor=CONTRAST_FLOOR)
     return (mx < max_gray) & (mx - mn > contrast_floor) & ~((s2 < s1) & (s2 < s3))
 
 
+def _probe_representatives(max_gray, contrast_floor):
+    """Each valid difference pair's representative triple (minimum 0), as an
+    ``(n, 3)`` array, and its maximum ``top``, built from a sparse pair grid;
+    the full-grid temporaries are freed on return."""
+    d = np.arange(1 - max_gray, max_gray)  # every difference of two grays
+    d1, d2 = np.meshgrid(d, d, indexing="ij", sparse=True)
+    low = np.minimum(np.minimum(d1, d2), 0)
+    cols = [(d1 - low).reshape(-1), (d2 - low).reshape(-1), -low.reshape(-1)]
+    valid = valid_probe_triples(*cols, max_gray, contrast_floor)
+    cols = [c[valid] for c in cols]
+    return np.column_stack(cols), np.maximum(cols[0], np.maximum(cols[1], cols[2]))
+
+
 def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CONTRAST_FLOOR,
                            bin_width_m=1.0) -> ProbeTable:
     """Evaluate the model on every valid integer triple and bin the results.
@@ -563,13 +576,8 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
     ``max_gray - top`` to its bin's count and ``tail[rep_j, top]`` to column
     ``j``'s sum, where ``tail[a, m] = sum_t (a + t) / (m + t)``.
     """
-    d = np.arange(1 - max_gray, max_gray)  # every difference of two grays
-    d1, d2 = (g.reshape(-1) for g in np.meshgrid(d, d, indexing="ij"))
-    low = np.minimum(np.minimum(d1, d2), 0)
-    reps = np.column_stack([d1 - low, d2 - low, -low])  # each pair's triple with minimum 0
-    reps = reps[valid_probe_triples(*reps.T, max_gray, contrast_floor)]
+    reps, top = _probe_representatives(max_gray, contrast_floor)
     bins, dense = np.unique(bin_index(_valid_ranges(model, reps), bin_width_m), return_inverse=True)
-    top = reps.max(axis=1)
 
     tail = np.zeros((max_gray + 1, max_gray + 1))  # tail[:, max_gray] = 0: no shift fits
     for m in range(max_gray - 1, 0, -1):  # top >= 1: a valid pair spreads

@@ -22,7 +22,7 @@ from gatedepth.estimators import (
 from gatedepth.gating import SPEED_OF_LIGHT_M_PER_NS as C0
 from gatedepth.gating import GateShape, PulseShape, RangeProfile, SliceConfig, gdp, standard_slices
 from gatedepth.pipeline import screen_triples
-from gatedepth.scene import NoiseModel, UniformRange, generate_dataset, simulate_batch
+from gatedepth.scene import NoiseModel, calibration_for_peak, simulate_batch, slice_values
 
 
 def delay_profile(delays, intensities):
@@ -347,46 +347,94 @@ def same_bits(a, b):
     return np.asarray(a).view(np.int64).tolist() == np.asarray(b).view(np.int64).tolist()
 
 
-# Noisy simulated triples over the whole estimable span and beyond.
-SIMULATED = generate_dataset(400, UniformRange(10.0, 130.0), UniformRange(0.05, 0.9),
-                             standard_slices(), NoiseModel(2.0, 11), target_peak_gray=200.0).triples
+def simulated_rows(slices, n=400):
+    """Noisy quantized gray rows over the whole estimable span and beyond."""
+    rng = np.random.default_rng(11)
+    r, alpha = rng.uniform(10.0, 130.0, n), rng.uniform(0.05, 0.9, n)
+    gray = slice_values(slices, r, alpha) * calibration_for_peak(slices, 10.0, 130.0)
+    return np.clip(np.rint(gray + rng.normal(0.0, 2.0, gray.shape)), 0, 255)
+
+
+# Section tables whose lit sets differ: the baseline's plan is built from them.
+_STOCK = standard_slices()
+TABLE_SLICES = {
+    "stock": _STOCK,
+    "first-two": _STOCK[:2],
+    "last-two": _STOCK[1:],
+    "one": _STOCK[:1],
+    "four": _STOCK + (SliceConfig.rectangular(770, 370.0, 420.0, _STOCK[2].delay_ns + 250.0),),
+    "shifted": tuple(SliceConfig(c.pulses, c.pulse, c.gate, c.delay_ns + 40.0) for c in _STOCK),
+}
+SIMULATED = {name: simulated_rows(slices) for name, slices in TABLE_SLICES.items()}
+WIDEST = max(len(slices) for slices in TABLE_SLICES.values())
+
+# A row is (index of a simulated row or None, offsets): the simulated row of
+# the table under test plus the offsets, or the offsets alone; only a table's
+# first k columns are used.
 _gray = st.integers(0, 255)
+_offsets = st.tuples(*[st.floats(-3.0, 3.0)] * WIDEST)
+_sim = st.integers(0, len(SIMULATED["stock"]) - 1)
+_zero = (0.0,) * WIDEST
 _rows = st.one_of(
-    st.sampled_from(SIMULATED.tolist()),
-    st.tuples(st.sampled_from(SIMULATED.tolist()), st.tuples(*[st.floats(-3.0, 3.0)] * 3)).map(
-        lambda pair: [g + d for g, d in zip(*pair)]),
-    st.tuples(_gray, _gray, _gray),
-    st.tuples(*[st.integers(0, 10)] * 3),  # dark and low-contrast
-    st.tuples(st.integers(245, 255), _gray, _gray),  # around the saturation limit
-    st.tuples(*[st.one_of(st.floats(-20.0, 300.0),
-                          st.sampled_from([0.0, 5e-324, 1e-310, 6.0, 250.0, 1e300, np.nan]))] * 3),
+    st.tuples(_sim, st.just(_zero)),
+    st.tuples(_sim, _offsets),
+    st.tuples(st.none(), st.tuples(*[_gray] * WIDEST)),
+    st.tuples(st.none(), st.tuples(*[st.integers(0, 10)] * WIDEST)),  # dark and low-contrast
+    st.tuples(st.none(), st.tuples(st.integers(245, 255), *[_gray] * (WIDEST - 1))),  # saturation
+    st.tuples(st.none(), st.tuples(*[st.one_of(
+        st.floats(-20.0, 300.0),
+        st.sampled_from([0.0, 5e-324, 1e-310, 6.0, 250.0, 1e300, np.nan]))] * WIDEST)),
 )
 _settings = st.sampled_from([(6.0, 1.0), (0.0, 0.0), (-1.0, 5.0), (30.0, 0.5), (0.0, math.inf)])
+
+
+def block_of(rows, name):
+    """The (n, k) block that drawn rows stand for on the named table."""
+    k = len(TABLE_SLICES[name])
+    return np.array([(SIMULATED[name][i] if i is not None else 0.0) + np.array(offsets[:k])
+                     for i, offsets in rows], dtype=float).reshape(-1, k)
+
+
+@pytest.fixture(scope="module", params=list(TABLE_SLICES))
+def table_name(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def table(table_name):
+    return build_section_table(TABLE_SLICES[table_name])
 
 
 class TestBaselineMatchesThePerRowRules:
     @given(st.lists(_rows, min_size=1, max_size=60), _settings)
     # four surviving estimates whose mean moves one ULP if summed in another order
-    @example(rows=[[2.8709887120629127, 36.53995869383545, 9.96621556292265]], setting=(-1.0, 5.0))
+    @example(rows=[(None, (2.8709887120629127, 36.53995869383545, 9.96621556292265, 0.0))],
+             setting=(-1.0, 5.0))
     # an infinite estimate from finite intensities, which an infinite tolerance would admit
-    @example(rows=[[250.0, 1e-305, -5.0]], setting=(0.0, math.inf))
+    @example(rows=[(None, (250.0, 1e-305, -5.0, 0.0))], setting=(0.0, math.inf))
+    # all eight lit patterns of the first three slices in one block, the
+    # doubly lit ones and the triply lit one as stock returns at 25, 100 and 65 m
+    @example(rows=[(None, row + (0.0,)) for row in (
+        (-20.0, 0.0, 5.0), (200.0, 0.0, 0.0), (0.0, 100.0, 0.0), (0.0, 0.0, 39.0),
+        (132.0, 124.0, 0.0), (0.0, 25.0, 62.0), (80.0, 0.0, 60.0), (6.0, 109.0, 27.0))],
+             setting=(6.0, 1.0))
     @settings(max_examples=200, deadline=None)
-    def test_batch_is_bit_identical_to_the_per_row_rules(self, section_table, rows, setting):
-        triples = np.array(rows, dtype=float)
-        out = baseline_estimate_batch(triples, section_table, *setting)
-        assert same_bits(out, reference_batch(triples, section_table, *setting))
+    def test_batch_is_bit_identical_to_the_per_row_rules(self, table_name, table, rows, setting):
+        triples = block_of(rows, table_name)
+        out = baseline_estimate_batch(triples, table, *setting)
+        assert same_bits(out, reference_batch(triples, table, *setting))
 
     @given(st.lists(_rows, min_size=1, max_size=40), _settings, st.data())
     @settings(max_examples=100, deadline=None)
-    def test_a_row_does_not_depend_on_the_rest_of_the_batch(self, section_table, rows, setting,
-                                                             data):
-        triples = np.array(rows, dtype=float)
-        out = baseline_estimate_batch(triples, section_table, *setting)
+    def test_a_row_does_not_depend_on_the_rest_of_the_batch(self, table_name, table, rows,
+                                                             setting, data):
+        triples = block_of(rows, table_name)
+        out = baseline_estimate_batch(triples, table, *setting)
         cut = data.draw(st.integers(0, len(rows)))
-        parts = [baseline_estimate_batch(part, section_table, *setting)
+        parts = [baseline_estimate_batch(part, table, *setting)
                  for part in (triples[:cut], triples[cut:])]
         assert same_bits(np.concatenate(parts), out)
         order = np.array(data.draw(st.permutations(range(len(rows)))))
-        assert same_bits(baseline_estimate_batch(triples[order], section_table, *setting), out[order])
+        assert same_bits(baseline_estimate_batch(triples[order], table, *setting), out[order])
         for i, row in enumerate(triples):
-            assert same_bits(baseline_estimate_batch(row, section_table, *setting), out[i:i + 1])
+            assert same_bits(baseline_estimate_batch(row, table, *setting), out[i:i + 1])

@@ -1,9 +1,11 @@
+import math
 import re
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatedepth.estimators import baseline_estimate_batch, build_section_table
@@ -19,7 +21,7 @@ from gatedepth.evaluation import (
     read_depth_pgm,
     render_depth_map,
 )
-from gatedepth.network import NetworkArch, init_params, predict_depth_batch
+from gatedepth.network import NetworkArch, init_params, predict_depth_batch, probe_learned_function
 from gatedepth.pipeline import CONTRAST_FLOOR, SATURATION_LIMIT, RawDataset, prefilter
 from gatedepth.scene import NoiseModel, SliceImageSet, render_slices
 
@@ -68,6 +70,19 @@ class TestBinnedMae:
         with pytest.raises(ValueError, match=re.escape(message)):
             bin_index(values, width)
 
+    @pytest.mark.parametrize("width", [0.0, -0.0, -1.0, math.nan, math.inf])
+    def test_a_width_not_finite_and_positive_is_rejected_without_a_warning(self, width):
+        message = re.escape(f"bin width must be finite and positive, got {width!r}")
+        model = init_params(NetworkArch((4,), "relu"), seed=0)
+        calls = [partial(bin_index, [1.0], width), partial(binned_mae, [1.0], [2.0], width),
+                 partial(binned_mae, [np.nan, np.nan], [2.0, 3.0], width),
+                 partial(probe_learned_function, model, 40, bin_width_m=width)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+
     def test_csv_output(self, tmp_path):
         out = binned_mae([30.0], [28.0], 5.0)
         path = tmp_path / "binned.csv"
@@ -75,6 +90,56 @@ class TestBinnedMae:
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_center,mae,std,rel_mae,count"
         assert lines[1].startswith("27.5,2.0,0.0,")
+
+
+def reference_binned_rows(predicted, truth, bin_width_m):
+    """binned_mae's rows by one boolean mask per bin, the loop it replaced."""
+    predicted, truth = np.asarray(predicted, dtype=float), np.asarray(truth, dtype=float)
+    keep = np.isfinite(predicted)
+    predicted, truth = predicted[keep], truth[keep]
+    err = np.abs(predicted - truth)
+    idx = bin_index(truth, bin_width_m)
+    rows = []
+    for k in np.unique(idx):
+        sel = idx == k
+        center = float((k + 0.5) * bin_width_m)
+        mae = float(err[sel].mean())
+        rows.append(BinRow(center, mae, float(err[sel].std()), mae / center, int(sel.sum())))
+    return tuple(rows)
+
+
+def row_bits(rows):
+    return [(*np.array(row[:4], dtype=float).view(np.int64).tolist(), row.count) for row in rows]
+
+
+_widths = st.sampled_from([5.0, 0.37, 1e-3])
+
+
+@st.composite
+def _samples(draw):
+    """(prediction, truth) pairs: truths anywhere or on a bin edge, NaN predictions."""
+    width = draw(_widths)
+    truth = st.one_of(st.floats(-10.0, 150.0), st.integers(-2, 40).map(lambda k: k * width))
+    pred = st.one_of(st.floats(-10.0, 160.0), st.just(np.nan))
+    return draw(st.lists(st.tuples(pred, truth), min_size=1, max_size=80)), width
+
+
+# Two bins of 13 ties, errors of mixed magnitude: a sort that reorders ties
+# (numpy's default argsort does here) sums each bin in another order.
+_TIES = [(t + (0.1, 0.3, 3.3e15, 0.7)[i % 4], t) for i, t in enumerate([1.0, 6.0] * 13)]
+
+
+class TestBinnedMaeMatchesThePerBinMasks:
+    @given(_samples())
+    @example((_TIES, 5.0))
+    # one-sample bins around a bin edge, a NaN prediction among them
+    @example(([(1.0, 5.0), (2.0, 4.999999999999999), (np.nan, 5.0), (7.0, 10.0)], 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_every_field_has_the_bits_of_the_mask_loop(self, sample):
+        pairs, width = sample
+        predicted, truth = np.array(pairs, dtype=float).T
+        out = binned_mae(predicted, truth, width)
+        assert row_bits(out.rows) == row_bits(reference_binned_rows(predicted, truth, width))
 
 
 class TestCompare:
