@@ -5,25 +5,28 @@ sampled gate-delay profile by an intensity-weighted average. Intensity-ratio
 correlation inverts the ratio of two overlapping slices wherever both respond
 linearly (rising ramp, plateau, falling ramp), which the section table
 organizes into contiguous distance sections for the configured slice set.
+The slices' breakpoints and overlap lines come from ``gating.rect_pieces``;
+this module reads no slice timing of its own.
 With the stock three-slice parameters the estimable span splits into nine
 sections, two of which (roughly 57-72 m) admit two independent estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoSignalError, UnsupportedShapeError
+from .errors import NoSignalError
 from .gating import SPEED_OF_LIGHT_M_PER_NS as _C0
-from .gating import SliceConfig, rip_breakpoints
+from .gating import rect_pieces
 from .pipeline import screen_triples, write_table
 
 DARK = "dark"
 RISING = "rising"
 PLATEAU = "plateau"
 FALLING = "falling"
+_PIECES = (RISING, PLATEAU, FALLING)  # the order of rect_pieces' lines
 
 
 def time_slicing_estimate(profile, pulse_width_ns) -> float:
@@ -44,20 +47,6 @@ def time_slicing_estimate(profile, pulse_width_ns) -> float:
         raise NoSignalError("all delay samples have zero intensity")
     weighted = (weights * (profile.coordinates + float(pulse_width_ns))).sum()
     return float(0.5 * _C0 * (weighted / total))
-
-
-def _overlap_line(cfg: SliceConfig, behavior):
-    """Overlap (ns) as intercept + slope * tau for one behavior segment."""
-    t0 = cfg.delay_ns
-    tl = cfg.pulse.width_ns
-    tg = cfg.gate.width_ns
-    if behavior == RISING:
-        return (-t0, 1.0)
-    if behavior == PLATEAU:
-        return (min(tl, tg), 0.0)
-    if behavior == FALLING:
-        return (t0 + tl + tg, -1.0)
-    raise ValueError(f"no overlap line for behavior {behavior!r}")
 
 
 @dataclass(frozen=True)
@@ -130,75 +119,47 @@ class SectionTable:
         write_table(path, header, zip(*rows))
 
 
-def _behavior_at(breakpoints, r):
-    rise, plateau, fall, end = breakpoints
-    if r <= rise or r >= end:
-        return DARK
-    if r < plateau:
-        return RISING
-    if r < fall:
-        return PLATEAU
-    return FALLING
-
-
-def _informative(line_a, line_b):
-    # Proportional overlap lines make the ratio constant in tau.
-    ia, sa = line_a
-    ib, sb = line_b
-    return abs(ia * sb - ib * sa) > 1e-12
-
-
 def build_section_table(slices) -> SectionTable:
     """Partition distance into per-behavior sections with their estimators.
 
     Sections cover the span where at least two slices respond (ratio methods
     need an overlapping pair); a single-slice table degrades to the slice's
     own rise/plateau/fall description. Estimators are attached per adjacent
-    slice pair wherever the pair's intensity ratio determines depth.
+    slice pair wherever the pair's intensity ratio determines depth. Each
+    slice's breakpoints and overlap lines come from ``gating.rect_pieces``;
+    one scan over the intervals between breakpoints classifies each interval
+    by its midpoint and merges it into the previous section when both are
+    adjacent and alike.
     """
     slices = tuple(slices)
     if not slices:
         raise ValueError("need at least one slice")
-    for cfg in slices:
-        if not cfg.is_rectangular:
-            raise UnsupportedShapeError("section tables require rectangular shapes")
-
-    per_slice = [rip_breakpoints(cfg) for cfg in slices]
-    bounds = sorted({b for bps in per_slice for b in bps})
+    pieces = [rect_pieces(cfg) for cfg in slices]
+    bounds = sorted({b for bps, _ in pieces for b in bps})
     need_lit = min(2, len(slices))
 
-    raw = []
+    sections = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (lo + hi)
-        behaviors = tuple(_behavior_at(bps, mid) for bps in per_slice)
-        if sum(b != DARK for b in behaviors) >= need_lit:
-            raw.append((lo, hi, behaviors))
-
-    merged = []
-    for lo, hi, behaviors in raw:
-        if merged and merged[-1][2] == behaviors and merged[-1][1] == lo:
-            merged[-1] = (merged[-1][0], hi, behaviors)
-        else:
-            merged.append((lo, hi, behaviors))
-
-    sections = []
-    for lo, hi, behaviors in merged:
+        # each slice's piece at mid: 0 rising, 1 plateau, 2 falling; None when dark
+        held = [None if mid <= rise or mid >= end else (mid >= plateau) + (mid >= fall)
+                for (rise, plateau, fall, end), _ in pieces]
+        if len(held) - held.count(None) < need_lit:
+            continue
+        behaviors = tuple(DARK if p is None else _PIECES[p] for p in held)
+        if sections and sections[-1].r_hi == lo and sections[-1].behaviors == behaviors:
+            sections[-1] = replace(sections[-1], r_hi=hi)
+            continue
         ests = []
         for a in range(len(slices) - 1):
             b = a + 1
-            if behaviors[a] == DARK or behaviors[b] == DARK:
+            if held[a] is None or held[b] is None:
                 continue
-            line_a = _overlap_line(slices[a], behaviors[a])
-            line_b = _overlap_line(slices[b], behaviors[b])
-            if not _informative(line_a, line_b):
-                continue
-            ests.append(
-                PairEstimator(
-                    a, b, behaviors[a], behaviors[b],
-                    line_a[0], line_a[1], line_b[0], line_b[1],
-                    slices[a].pulses, slices[b].pulses,
-                )
-            )
+            (ia, sa), (ib, sb) = pieces[a][1][held[a]], pieces[b][1][held[b]]
+            if abs(ia * sb - ib * sa) <= 1e-12:
+                continue  # proportional overlap lines make the ratio constant in tau
+            ests.append(PairEstimator(a, b, behaviors[a], behaviors[b], ia, sa, ib, sb,
+                                      slices[a].pulses, slices[b].pulses))
         sections.append(Section(lo, hi, behaviors, tuple(ests)))
     return SectionTable(tuple(sections), slices)
 
@@ -229,7 +190,7 @@ def baseline_estimate(triples, table: SectionTable, dark_floor=6.0, tolerance_m=
     block = values.reshape(-1, k)
     pattern = (block >= dark_floor) @ (1 << np.arange(k))  # bit i: slice i is lit
     out = np.full(block.shape[0], np.nan)
-    for code in np.unique(pattern):
+    for code in np.flatnonzero(np.bincount(pattern)):
         lit = frozenset(i for i in range(k) if code >> i & 1)
         steps = [(sec, est) for sec in table.sections if lit <= sec.lit
                  for est in sec.estimators if est.index_a in lit and est.index_b in lit]

@@ -12,6 +12,10 @@ measured from the *trailing* edge of the emitted pulse, i.e. the gate opens
 shapes this puts the sensitive band of a slice at
 ``[c0*t0/2, c0*(t0 + t_pulse + t_gate)/2]`` metres.
 
+A rectangular slice's response is piecewise linear in tau; ``rect_pieces``
+gives its breakpoints and the overlap line of each piece, and the section
+table of ``estimators`` is built from them.
+
 Overlaps go through ``gated_response``. Two rectangular shapes take a
 closed form (also behind ``rect_overlap``). Any other pair of shapes, all
 piecewise linear, overlaps as an exact piecewise cubic in
@@ -376,21 +380,27 @@ def rip(cfg: SliceConfig, atmo: Atmosphere, r_grid, include_irradiance=True):
     return RangeProfile("distance_m", r_grid, vals)
 
 
-def rip_breakpoints(cfg: SliceConfig):
-    """Distances where a rectangular slice changes behavior.
+def rect_pieces(cfg: SliceConfig):
+    """A rectangular slice's response, piece by piece.
 
-    Returns (rise_start, plateau_start, fall_start, fall_end); the plateau
-    has zero width when pulse and gate widths are equal.
+    Returns ``(breakpoints, lines)``: the distances (rise_start,
+    plateau_start, fall_start, fall_end) where it changes behavior, the ends
+    being ``slice_support``, and the overlap (ns) as ``(intercept, slope)``
+    in tau on its rising, plateau and falling pieces. The plateau has zero
+    width when pulse and gate widths are equal.
     """
     if not cfg.is_rectangular:
-        raise UnsupportedShapeError("breakpoints are defined for rectangular shapes only")
+        raise UnsupportedShapeError("response pieces are defined for rectangular shapes only")
     c = SPEED_OF_LIGHT_M_PER_NS
     t0 = cfg.delay_ns
     tl = cfg.pulse.width_ns
     tg = cfg.gate.width_ns
-    return (
-        0.5 * c * t0,
-        0.5 * c * (t0 + min(tl, tg)),
-        0.5 * c * (t0 + max(tl, tg)),
-        0.5 * c * (t0 + tl + tg),
-    )
+    r_min, r_max = slice_support(cfg)
+    breakpoints = (r_min, 0.5 * c * (t0 + min(tl, tg)), 0.5 * c * (t0 + max(tl, tg)), r_max)
+    return breakpoints, ((-t0, 1.0), (min(tl, tg), 0.0), (t0 + tl + tg, -1.0))
+
+
+def rip_breakpoints(cfg: SliceConfig):
+    """Distances (rise_start, plateau_start, fall_start, fall_end) where a
+    rectangular slice changes behavior; see ``rect_pieces``."""
+    return rect_pieces(cfg)[0]

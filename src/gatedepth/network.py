@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataFormatError, TrainingDivergedError
-from .evaluation import bin_index
+from .evaluation import _check_bin_width, bin_index
 from .pipeline import CONTRAST_FLOOR, screen_triples, standardize_batch, write_table
 from .seeding import derive_seed
 
@@ -574,8 +574,10 @@ def probe_learned_function(model: NetworkModel, max_gray=230, contrast_floor=CON
     pair, on its representative ``rep`` (minimum 0, maximum ``top``). The
     pair's triples are ``rep + t`` for ``t = 0 .. max_gray - 1 - top``: it adds
     ``max_gray - top`` to its bin's count and ``tail[rep_j, top]`` to column
-    ``j``'s sum, where ``tail[a, m] = sum_t (a + t) / (m + t)``.
+    ``j``'s sum, where ``tail[a, m] = sum_t (a + t) / (m + t)``. A bin width
+    that is not finite and positive raises before the forward runs.
     """
+    _check_bin_width(bin_width_m)
     reps, top = _probe_representatives(max_gray, contrast_floor)
     bins, dense = np.unique(bin_index(_valid_ranges(model, reps), bin_width_m), return_inverse=True)
 

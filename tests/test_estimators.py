@@ -1,10 +1,15 @@
+import ast
 import math
+import struct
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gatedepth import estimators
 from gatedepth.errors import NoSignalError, UnsupportedShapeError
 from gatedepth.estimators import (
     DARK,
@@ -20,7 +25,8 @@ from gatedepth.estimators import (
     time_slicing_estimate,
 )
 from gatedepth.gating import SPEED_OF_LIGHT_M_PER_NS as C0
-from gatedepth.gating import GateShape, PulseShape, RangeProfile, SliceConfig, gdp, standard_slices
+from gatedepth.gating import (GateShape, PulseShape, RangeProfile, SliceConfig, gdp, rip_breakpoints,
+                              slice_support, standard_slices)
 from gatedepth.pipeline import screen_triples
 from gatedepth.scene import NoiseModel, calibration_for_peak, simulate_batch, slice_values
 
@@ -208,10 +214,12 @@ class TestSectionTable:
         assert [sec.behaviors for sec in table.sections] == [(RISING,), (PLATEAU,), (FALLING,)]
         assert all(not sec.estimators for sec in table.sections)
 
-    def test_non_rectangular_rejected(self):
+    def test_non_rectangular_rejected(self, slices):
         cfg = SliceConfig(1, PulseShape(100.0, kind="triangular"), GateShape(100.0), 0.0)
-        with pytest.raises(UnsupportedShapeError):
-            build_section_table([cfg])
+        for bad in ([cfg], [slices[0], cfg]):
+            with pytest.raises(UnsupportedShapeError,
+                               match="response pieces are defined for rectangular shapes only"):
+                build_section_table(bad)
 
     def test_general_inversion_reduces_to_closed_form(self):
         # on the overlapping-trapezoid configuration the section estimator
@@ -228,6 +236,124 @@ class TestSectionTable:
         lines = path.read_text().splitlines()
         assert lines[0] == "r_lo,r_hi,slice1,slice2,slice3,estimators"
         assert len(lines) == 10
+
+
+def reference_section_rows(slices):
+    """The section table as ``(r_lo, r_hi, behaviors, estimator fields)``
+    rows, by the two-pass build over per-behavior helpers that
+    ``gating.rect_pieces`` replaced: classify each interval between
+    breakpoints at its midpoint, keep those with two lit slices, merge equal
+    adjacent runs, then attach each informative adjacent pair."""
+    def breakpoints(cfg):
+        t0, tl, tg = cfg.delay_ns, cfg.pulse.width_ns, cfg.gate.width_ns
+        return (0.5 * C0 * t0, 0.5 * C0 * (t0 + min(tl, tg)), 0.5 * C0 * (t0 + max(tl, tg)),
+                0.5 * C0 * (t0 + tl + tg))
+
+    def behavior_at(bps, r):
+        rise, plateau, fall, end = bps
+        if r <= rise or r >= end:
+            return DARK
+        if r < plateau:
+            return RISING
+        if r < fall:
+            return PLATEAU
+        return FALLING
+
+    def overlap_line(cfg, behavior):
+        t0, tl, tg = cfg.delay_ns, cfg.pulse.width_ns, cfg.gate.width_ns
+        return {RISING: (-t0, 1.0), PLATEAU: (min(tl, tg), 0.0),
+                FALLING: (t0 + tl + tg, -1.0)}[behavior]
+
+    def informative(line_a, line_b):
+        (ia, sa), (ib, sb) = line_a, line_b
+        return abs(ia * sb - ib * sa) > 1e-12
+
+    per_slice = [breakpoints(cfg) for cfg in slices]
+    bounds = sorted({b for bps in per_slice for b in bps})
+    raw = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        behaviors = tuple(behavior_at(bps, 0.5 * (lo + hi)) for bps in per_slice)
+        if sum(b != DARK for b in behaviors) >= min(2, len(slices)):
+            raw.append((lo, hi, behaviors))
+    merged = []
+    for lo, hi, behaviors in raw:
+        if merged and merged[-1][2] == behaviors and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], hi, behaviors)
+        else:
+            merged.append((lo, hi, behaviors))
+    rows = []
+    for lo, hi, behaviors in merged:
+        ests = []
+        for a in range(len(slices) - 1):
+            b = a + 1
+            if DARK in (behaviors[a], behaviors[b]):
+                continue
+            line_a = overlap_line(slices[a], behaviors[a])
+            line_b = overlap_line(slices[b], behaviors[b])
+            if informative(line_a, line_b):
+                ests.append((a, b, behaviors[a], behaviors[b], *line_a, *line_b,
+                             slices[a].pulses, slices[b].pulses))
+        rows.append((lo, hi, behaviors, tuple(ests)))
+    return rows
+
+
+def float_bits(value):
+    """``value`` with every float, also inside tuples, replaced by its bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(float_bits(v) for v in value)
+    return value
+
+
+# Pools of round values make breakpoints shared between slices, equal pulse
+# and gate widths and equal delays common; the float ranges cover the rest.
+_width = st.one_of(st.sampled_from([40.0, 100.0, 120.0, 200.0, 240.0, 420.0]),
+                   st.floats(1.0, 500.0))
+_delay = st.one_of(st.sampled_from([0.0, 20.0, 60.0, 100.0, 140.0, 280.0]), st.floats(0.0, 900.0))
+_rect = st.builds(SliceConfig.rectangular, st.integers(1, 1000), _width, _width, _delay)
+_matched = st.builds(lambda pulses, w, delay: SliceConfig.rectangular(pulses, w, w, delay),
+                     st.integers(1, 1000), _width, _delay)
+
+
+class TestSectionTableMatchesTheTwoPassBuild:
+    @given(st.lists(st.one_of(_rect, _matched), min_size=1, max_size=4))
+    # zero-width plateaus (matched widths) from delay 0, each slice rising
+    # where the one before it falls: every breakpoint is shared
+    @example([SliceConfig.rectangular(1, 100.0, 100.0, 0.0),
+              SliceConfig.rectangular(2, 100.0, 100.0, 100.0),
+              SliceConfig.rectangular(3, 100.0, 100.0, 200.0)])
+    # two adjacent slices on their plateaus at once: proportional lines
+    @example([SliceConfig.rectangular(1, 100.0, 300.0, 0.0),
+              SliceConfig.rectangular(5, 100.0, 300.0, 60.0)])
+    # two rising pieces with equal delays (and equal falls): proportional lines
+    @example([SliceConfig.rectangular(1, 100.0, 200.0, 60.0),
+              SliceConfig.rectangular(2, 200.0, 100.0, 60.0),
+              SliceConfig.rectangular(3, 100.0, 420.0, 60.0)])
+    # breakpoints one ULP apart, whose midpoint rounds onto one of them: onto
+    # the first slice's plateau start, then onto the second slice's rise
+    @example([SliceConfig.rectangular(1, 140.0, 300.0, 0.0),
+              SliceConfig.rectangular(2, 100.0, 100.0, 139.99999999999997)])
+    @example([SliceConfig.rectangular(1, 100.0, 300.0, 0.0),
+              SliceConfig.rectangular(2, 100.0, 100.0, 99.99999999999999)])
+    @example(list(standard_slices()))
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_has_the_bits_of_the_two_pass_build(self, slices):
+        table = build_section_table(slices)
+        got = [(sec.r_lo, sec.r_hi, sec.behaviors, tuple(astuple(e) for e in sec.estimators))
+               for sec in table.sections]
+        assert float_bits(got) == float_bits(reference_section_rows(slices))
+        assert table.slices == tuple(slices)
+        for cfg in slices:
+            assert float_bits(rip_breakpoints(cfg)[::3]) == float_bits(slice_support(cfg))
+
+
+def test_estimators_read_no_slice_timing():
+    """The delay convention lives in ``gating``: the estimators module reads
+    no ``delay_ns`` or ``width_ns`` attribute. The file is parsed, never run."""
+    tree = ast.parse(Path(estimators.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & {"delay_ns", "width_ns"}
 
 
 class TestBaseline:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gatedepth import network
 from gatedepth.estimators import baseline_estimate_batch, build_section_table
 from gatedepth.evaluation import (
     BinnedError,
@@ -71,9 +72,16 @@ class TestBinnedMae:
             bin_index(values, width)
 
     @pytest.mark.parametrize("width", [0.0, -0.0, -1.0, math.nan, math.inf])
-    def test_a_width_not_finite_and_positive_is_rejected_without_a_warning(self, width):
+    def test_a_width_not_finite_and_positive_is_rejected_without_a_warning(self, width,
+                                                                           monkeypatch):
         message = re.escape(f"bin width must be finite and positive, got {width!r}")
         model = init_params(NetworkArch((4,), "relu"), seed=0)
+
+        # the probe checks the width before its pair build and its forward
+        def too_early(*args):
+            raise AssertionError("the probe built its pairs or ran the forward before the check")
+        monkeypatch.setattr(network, "_probe_representatives", too_early)
+        monkeypatch.setattr(network, "_valid_ranges", too_early)
         calls = [partial(bin_index, [1.0], width), partial(binned_mae, [1.0], [2.0], width),
                  partial(binned_mae, [np.nan, np.nan], [2.0, 3.0], width),
                  partial(probe_learned_function, model, 40, bin_width_m=width)]
