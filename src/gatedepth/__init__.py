@@ -18,7 +18,6 @@ from .gating import (
     gated_response,
     gdp,
     rip,
-    rip_breakpoints,
     slice_support,
     standard_slices,
 )

@@ -1,73 +1,24 @@
 """Flat ``key = value`` run configuration shared by all CLI commands.
 
-Keys use dotted namespaces (``slice1.t0_ns = 20``). Unknown keys are
-rejected so typos fail loudly instead of silently running with defaults.
-The canonical serialization (fixed key order) feeds the config hash that
-run manifests record for reproducibility.
+Keys use dotted namespaces (``slice1.t0_ns = 20``). Each key is declared
+once, on its ``RunConfig`` field: key name, default and the parser that
+checks its value. Unknown keys are rejected so typos fail loudly instead of
+silently running with defaults. Field order is the canonical serialization
+order, which feeds the config hash that run manifests record for
+reproducibility.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .gating import standard_slices
-from .network import ACTIVATIONS, NetworkArch, TrainConfig, parse_hidden
+from .network import ACTIVATIONS, NetworkArch, parse_hidden
 from .pipeline import variant
 from .seeding import derive_seed
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    slices: tuple = field(default_factory=standard_slices)
-    gamma_per_m: float = 0.0
-    noise_sigma_gray: float = 2.0
-    variant: str = "dataset3"
-    hidden: tuple = (40,)
-    activation: str = "relu"
-    learning_rate: float = 0.01
-    batch_size: int = 16
-    max_epochs: int = 100
-    patience: int = 10
-    train_fraction: float = 0.8
-    sim_samples: int = 100000
-    sim_r_min_m: float = 10.0
-    sim_r_max_m: float = 100.0
-    sim_alpha_min: float = 0.05
-    sim_alpha_max: float = 0.9
-    target_peak_gray: float = 200.0
-    eval_bin_width_m: float = 5.0
-    baseline_dark_floor: float = 6.0
-    baseline_tolerance_m: float = 1.0
-    probe_max_gray: int = 230
-    probe_contrast_floor: int = 6
-
-    def stage_seed(self, stage: str) -> int:
-        """Per-stage seed derived from the global seed by stable hashing."""
-        return derive_seed(self.seed, stage)
-
-
-# slice key -> (parse, get, replace) on one SliceConfig; replace runs its checks
-_SLICE_FIELDS = {
-    "pulses": (int, lambda s: s.pulses, lambda s, v: replace(s, pulses=v)),
-    "tl_ns": (float, lambda s: s.pulse.width_ns,
-              lambda s, v: replace(s, pulse=replace(s.pulse, width_ns=v))),
-    "tg_ns": (float, lambda s: s.gate.width_ns,
-              lambda s, v: replace(s, gate=replace(s.gate, width_ns=v))),
-    "t0_ns": (float, lambda s: s.delay_ns, lambda s, v: replace(s, delay_ns=v)),
-}
-
-
-def _hidden_layout(text):
-    return NetworkArch(parse_hidden(text)).hidden
-
-
-def _train_set(cfg: RunConfig, attr: str, value):
-    setattr(cfg, attr, value)
-    TrainConfig(cfg.learning_rate, cfg.batch_size, cfg.max_epochs, cfg.patience)  # its own checks
 
 
 def _checked(parse, ok, requirement):
@@ -89,50 +40,73 @@ _activation = _checked(str.lower, lambda v: v in ACTIVATIONS, f"one of {sorted(A
 #: Largest ``sim.samples``: 100 times the default.
 MAX_SIM_SAMPLES = 10_000_000
 
-# key -> (parse, get, set); fixed order defines the canonical serialization
+
+def _hidden_layout(text):
+    return NetworkArch(parse_hidden(text)).hidden
+
+
+def _key(key, default, parse):
+    """A ``RunConfig`` field that config key ``key`` sets through ``parse``."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    seed: int = _key("seed", 0, int)
+    slices: tuple = field(default_factory=standard_slices)  # keys slice<i>.*, see _SLICE_FIELDS
+    gamma_per_m: float = _key("atmosphere.gamma_per_m", 0.0, _finite_non_negative)
+    noise_sigma_gray: float = _key("noise.sigma_gray", 2.0, _finite_non_negative)
+    variant: str = _key("dataset.variant", "dataset3", lambda text: variant(text).tag)
+    hidden: tuple = _key("network.hidden", (40,), _hidden_layout)
+    activation: str = _key("network.activation", "relu", _activation)
+    learning_rate: float = _key("train.learning_rate", 0.01, _finite_non_negative)
+    batch_size: int = _key("train.batch_size", 16, _positive_int)
+    max_epochs: int = _key("train.max_epochs", 100, _positive_int)
+    patience: int = _key("train.patience", 10, _positive_int)
+    train_fraction: float = _key("train.fraction", 0.8,
+                                 _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
+    sim_samples: int = _key("sim.samples", 100000, _checked(
+        int, lambda v: 1 <= v <= MAX_SIM_SAMPLES, f"in 1..{MAX_SIM_SAMPLES:,}"))
+    sim_r_min_m: float = _key("sim.r_min_m", 10.0, _finite_positive)
+    sim_r_max_m: float = _key("sim.r_max_m", 100.0, _finite_positive)
+    sim_alpha_min: float = _key("sim.alpha_min", 0.05, _unit_interval)
+    sim_alpha_max: float = _key("sim.alpha_max", 0.9, _unit_interval)
+    target_peak_gray: float = _key("sim.target_peak_gray", 200.0, _finite_positive)
+    eval_bin_width_m: float = _key("eval.bin_width_m", 5.0, _finite_positive)
+    baseline_dark_floor: float = _key("baseline.dark_floor", 6.0, _finite_non_negative)
+    baseline_tolerance_m: float = _key("baseline.tolerance_m", 1.0, _finite_non_negative)
+    probe_max_gray: int = _key("probe.max_gray", 230, _checked(int, lambda v: 1 <= v <= 256, "in 1..256"))
+    probe_contrast_floor: int = _key("probe.contrast_floor", 6, _checked(int, lambda v: v >= 0, ">= 0"))
+
+    def stage_seed(self, stage: str) -> int:
+        """Per-stage seed derived from the global seed by stable hashing."""
+        return derive_seed(self.seed, stage)
+
+
+# slice key -> (parse, get, replace) on one SliceConfig; replace runs its checks
+_SLICE_FIELDS = {
+    "pulses": (int, lambda s: s.pulses, lambda s, v: replace(s, pulses=v)),
+    "tl_ns": (float, lambda s: s.pulse.width_ns,
+              lambda s, v: replace(s, pulse=replace(s.pulse, width_ns=v))),
+    "tg_ns": (float, lambda s: s.gate.width_ns,
+              lambda s, v: replace(s, gate=replace(s.gate, width_ns=v))),
+    "t0_ns": (float, lambda s: s.delay_ns, lambda s, v: replace(s, delay_ns=v)),
+}
+
+# key -> (parse, get, set); field order defines the canonical serialization
 _SCHEMA = {}
-
-
-def _register(key, parse, get, set_):
-    _SCHEMA[key] = (parse, get, set_)
-
-
-def _simple(key, attr, parse):
-    _register(key, parse,
-              lambda cfg, attr=attr: getattr(cfg, attr),
-              lambda cfg, v, attr=attr: setattr(cfg, attr, v))
-
-
-_simple("seed", "seed", int)
-for i in range(3):
-    for attr, (parse, get, put) in _SLICE_FIELDS.items():
-        _register(f"slice{i + 1}.{attr}", parse, lambda cfg, i=i, get=get: get(cfg.slices[i]),
-                  lambda cfg, v, i=i, put=put: setattr(
-                      cfg, "slices", (*cfg.slices[:i], put(cfg.slices[i], v), *cfg.slices[i + 1:])))
-_simple("atmosphere.gamma_per_m", "gamma_per_m", _finite_non_negative)
-_simple("noise.sigma_gray", "noise_sigma_gray", _finite_non_negative)
-_simple("dataset.variant", "variant", lambda text: variant(text).tag)
-_register("network.hidden", _hidden_layout,
-          lambda cfg: "-".join(str(w) for w in cfg.hidden),
-          lambda cfg, v: setattr(cfg, "hidden", v))
-_simple("network.activation", "activation", _activation)
-for attr, parse in (("learning_rate", float), ("batch_size", int), ("max_epochs", int), ("patience", int)):
-    _register(f"train.{attr}", parse, lambda cfg, attr=attr: getattr(cfg, attr),
-              lambda cfg, v, attr=attr: _train_set(cfg, attr, v))
-_simple("train.fraction", "train_fraction",
-        _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
-_simple("sim.samples", "sim_samples",
-        _checked(int, lambda v: 1 <= v <= MAX_SIM_SAMPLES, f"in 1..{MAX_SIM_SAMPLES:,}"))
-_simple("sim.r_min_m", "sim_r_min_m", _finite_positive)
-_simple("sim.r_max_m", "sim_r_max_m", _finite_positive)
-_simple("sim.alpha_min", "sim_alpha_min", _unit_interval)
-_simple("sim.alpha_max", "sim_alpha_max", _unit_interval)
-_simple("sim.target_peak_gray", "target_peak_gray", _finite_positive)
-_simple("eval.bin_width_m", "eval_bin_width_m", _finite_positive)
-_simple("baseline.dark_floor", "baseline_dark_floor", _finite_non_negative)
-_simple("baseline.tolerance_m", "baseline_tolerance_m", _finite_non_negative)
-_simple("probe.max_gray", "probe_max_gray", _checked(int, lambda v: 1 <= v <= 256, "in 1..256"))
-_simple("probe.contrast_floor", "probe_contrast_floor", _checked(int, lambda v: v >= 0, ">= 0"))
+for _field in fields(RunConfig):
+    if _field.name == "slices":
+        for i in range(3):
+            for attr, (parse, get, put) in _SLICE_FIELDS.items():
+                _SCHEMA[f"slice{i + 1}.{attr}"] = (
+                    parse, lambda cfg, i=i, get=get: get(cfg.slices[i]),
+                    lambda cfg, v, i=i, put=put: setattr(
+                        cfg, "slices", (*cfg.slices[:i], put(cfg.slices[i], v), *cfg.slices[i + 1:])))
+    else:
+        _SCHEMA[_field.metadata["key"]] = (_field.metadata["parse"],
+                                           lambda cfg, name=_field.name: getattr(cfg, name),
+                                           lambda cfg, v, name=_field.name: setattr(cfg, name, v))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -175,6 +149,8 @@ def serialize_config(cfg: RunConfig) -> str:
         value = get(cfg)
         if isinstance(value, float):
             value = repr(value)
+        elif isinstance(value, tuple):  # network.hidden, in dash notation
+            value = "-".join(map(str, value))
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -398,9 +398,3 @@ def rect_pieces(cfg: SliceConfig):
     r_min, r_max = slice_support(cfg)
     breakpoints = (r_min, 0.5 * c * (t0 + min(tl, tg)), 0.5 * c * (t0 + max(tl, tg)), r_max)
     return breakpoints, ((-t0, 1.0), (min(tl, tg), 0.0), (t0 + tl + tg, -1.0))
-
-
-def rip_breakpoints(cfg: SliceConfig):
-    """Distances (rise_start, plateau_start, fall_start, fall_end) where a
-    rectangular slice changes behavior; see ``rect_pieces``."""
-    return rect_pieces(cfg)[0]

@@ -72,6 +72,34 @@ class TestConfig:
         assert back.slices == cfg.slices
         assert config_hash(back) == config_hash(cfg)
 
+    def test_key_order_and_default_hash_are_pinned(self):
+        # RunConfig's field order is the serialization order: reordering a field changes both
+        assert list(_SCHEMA) == [
+            "seed",
+            "slice1.pulses", "slice1.tl_ns", "slice1.tg_ns", "slice1.t0_ns",
+            "slice2.pulses", "slice2.tl_ns", "slice2.tg_ns", "slice2.t0_ns",
+            "slice3.pulses", "slice3.tl_ns", "slice3.tg_ns", "slice3.t0_ns",
+            "atmosphere.gamma_per_m", "noise.sigma_gray", "dataset.variant",
+            "network.hidden", "network.activation",
+            "train.learning_rate", "train.batch_size", "train.max_epochs", "train.patience",
+            "train.fraction",
+            "sim.samples", "sim.r_min_m", "sim.r_max_m", "sim.alpha_min", "sim.alpha_max",
+            "sim.target_peak_gray",
+            "eval.bin_width_m", "baseline.dark_floor", "baseline.tolerance_m",
+            "probe.max_gray", "probe.contrast_floor",
+        ]
+        assert config_hash(RunConfig()) == (
+            "09f9916379619ccce0a06ceb1eb9a35fdc27e621b72bf7f43120d71208b6fed3")
+
+    def test_readme_lists_every_key_with_its_default_in_order(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config keys (defaults shown)\n\n```text\n", 1)[1].split("```", 1)[0]
+        pairs = [pair for line in block.splitlines()
+                 for pair in re.findall(r"(\S+) = (\S+)", line.split("#", 1)[0])]
+        assert [key for key, _ in pairs] == list(_SCHEMA)
+        documented = parse_config("\n".join(f"{key} = {value}" for key, value in pairs))
+        assert serialize_config(documented) == serialize_config(RunConfig())
+
     def test_overrides(self):
         cfg = parse_config(
             "seed = 9\nslice1.t0_ns = 25\nnetwork.hidden = 20-10\ntrain.batch_size = 64\n"

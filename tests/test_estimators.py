@@ -25,7 +25,7 @@ from gatedepth.estimators import (
     time_slicing_estimate,
 )
 from gatedepth.gating import SPEED_OF_LIGHT_M_PER_NS as C0
-from gatedepth.gating import (GateShape, PulseShape, RangeProfile, SliceConfig, gdp, rip_breakpoints,
+from gatedepth.gating import (GateShape, PulseShape, RangeProfile, SliceConfig, gdp, rect_pieces,
                               slice_support, standard_slices)
 from gatedepth.pipeline import screen_triples
 from gatedepth.scene import NoiseModel, calibration_for_peak, simulate_batch, slice_values
@@ -345,7 +345,7 @@ class TestSectionTableMatchesTheTwoPassBuild:
         assert float_bits(got) == float_bits(reference_section_rows(slices))
         assert table.slices == tuple(slices)
         for cfg in slices:
-            assert float_bits(rip_breakpoints(cfg)[::3]) == float_bits(slice_support(cfg))
+            assert float_bits(rect_pieces(cfg)[0][::3]) == float_bits(slice_support(cfg))
 
 
 def test_estimators_read_no_slice_timing():

@@ -20,8 +20,8 @@ from gatedepth.gating import (
     SliceConfig,
     gated_response,
     gdp,
+    rect_pieces,
     rip,
-    rip_breakpoints,
     slice_support,
     _overlap_cubics,
 )
@@ -420,7 +420,7 @@ class TestSliceSupport:
     def test_matches_breakpoint_extremes(self, slices):
         for cfg in slices:
             lo, hi = slice_support(cfg)
-            bps = rip_breakpoints(cfg)
+            bps = rect_pieces(cfg)[0]
             assert lo == bps[0] and hi == bps[3]
 
 
@@ -498,7 +498,7 @@ class TestRip:
     def test_shape_follows_breakpoints(self, slices):
         # rising, then flat, then falling between the computed breakpoints
         for cfg in slices:
-            rise, plateau, fall, end = rip_breakpoints(cfg)
+            rise, plateau, fall, end = rect_pieces(cfg)[0]
             grid = np.linspace(rise + 0.5, end - 0.5, 400)
             profile = rip(cfg, Atmosphere(), grid, include_irradiance=False)
             vals = profile.intensities
@@ -529,18 +529,18 @@ class TestRipBreakpoints:
                 detected.append(c)
         step = grid[1] - grid[0]
         assert len(detected) == 4
-        np.testing.assert_allclose(detected, rip_breakpoints(cfg), atol=3 * step)
+        np.testing.assert_allclose(detected, rect_pieces(cfg)[0], atol=3 * step)
 
     def test_matched_widths_collapse_plateau(self):
         cfg = SliceConfig.rectangular(1, 100.0, 100.0, 0.0)
-        rise, plateau, fall, end = rip_breakpoints(cfg)
+        rise, plateau, fall, end = rect_pieces(cfg)[0]
         assert plateau == fall
         assert plateau == pytest.approx(14.9896229, abs=1e-6)
 
     def test_requires_rectangular_shapes(self):
         cfg = SliceConfig(1, PulseShape(100.0, kind="triangular"), GateShape(100.0), 0.0)
         with pytest.raises(UnsupportedShapeError):
-            rip_breakpoints(cfg)
+            rect_pieces(cfg)[0]
 
 
 class TestRangeProfile:
