@@ -121,7 +121,18 @@ def _prepare_training_arrays(cfg: RunConfig, path):
     data = prefilter(load_samples(path))
     if not len(data):
         raise DataFormatError(f"{path}: no samples survive the prefilter")
-    train_set, val_set = split(data, cfg.train_fraction, cfg.stage_seed("split"))
+    return _split_arrays(cfg, data, "split", f"{path}: {len(data)} sample(s) survive the prefilter")
+
+
+def _split_arrays(cfg: RunConfig, data, stage, what):
+    """Standardized (train, validation) arrays of a seeded split of ``data``;
+    a split that leaves either set empty is a ``DataFormatError`` that starts
+    with ``what`` (the file and its surviving row count)."""
+    train_set, val_set = split(data, cfg.train_fraction, cfg.stage_seed(stage))
+    if not (len(train_set) and len(val_set)):
+        raise DataFormatError(f"{what}; train.fraction = {cfg.train_fraction!r} splits them into "
+                              f"{len(train_set)} training and {len(val_set)} validation rows, "
+                              "and each set needs at least one")
     return standardized_arrays(train_set), standardized_arrays(val_set)
 
 
@@ -147,8 +158,9 @@ def _cmd_gridsearch(cfg: RunConfig, args, out: Path):
         filtered = build_dataset(raw, spec)
         if not len(filtered):
             raise DataFormatError(f"variant {spec.tag}: empty dataset after filtering")
-        tr, va = split(filtered, cfg.train_fraction, cfg.stage_seed(f"split.{spec.tag}"))
-        datasets.append((spec.tag, standardized_arrays(tr), standardized_arrays(va)))
+        datasets.append((spec.tag, *_split_arrays(
+            cfg, filtered, f"split.{spec.tag}",
+            f"{args.input}: variant {spec.tag} keeps {len(filtered)} sample(s)")))
     result = grid_search(datasets, grid, max_epochs=cfg.max_epochs, patience=cfg.patience,
                          seed=cfg.stage_seed("gridsearch"))
     result.write_csv(out / "grid_results.csv")

@@ -5,9 +5,12 @@ affine layers with elementwise nonlinearities and a linear output. Training
 is plain minibatch SGD on the mean absolute error with early stopping on
 validation MAE. ``train`` and ``grid_search`` share one stacked epoch loop
 (``train_stack``): a grid group's learning rates train in lockstep, bit for
-bit like serial runs, and ``train`` is its one-member case. ``backward`` and
-that loop share one backprop; everything is deterministic under a fixed
-seed. Prediction uses the dataset prefilter's validity screen.
+bit like serial runs, and ``train`` is its one-member case. The members'
+parameters are the rows of one flat buffer, updated in place by one product
+and one subtraction per step; a member leaves at the end of the epoch in
+which it stops or diverges. ``backward`` and that loop share one backprop;
+everything is deterministic under a fixed seed. Prediction uses the dataset
+prefilter's validity screen.
 """
 
 from __future__ import annotations
@@ -200,16 +203,16 @@ def backward(model: NetworkModel, x, y):
     return _backprop(model.weights, cache, pred - y, act_grad)
 
 
-def _backprop(weights, cache, err, act_grad):
+def _backprop(weights, cache, err, act_grad, out=None):
     """Per-layer (weight, bias) gradients of the batch MAE from a cached
     forward pass and its residuals ``err`` (prediction minus target); stacked
-    parameters give stacked gradients."""
+    parameters give stacked gradients. A given ``out`` pair of per-layer
+    weight and bias lists receives the gradients and is returned."""
     delta = (np.sign(err) / err.shape[-1])[..., None]
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
+    grads_w, grads_b = out or ([None] * len(weights), [None] * len(weights))
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = cache[i][0].swapaxes(-1, -2) @ delta
-        grads_b[i] = delta.sum(axis=-2)
+        grads_w[i] = np.matmul(cache[i][0].swapaxes(-1, -2), delta, out=grads_w[i])
+        grads_b[i] = np.add.reduce(delta, axis=-2, out=grads_b[i])
         if i > 0:
             delta = (delta @ weights[i].swapaxes(-1, -2)) * act_grad(*cache[i - 1][1:])
     return grads_w, grads_b
@@ -263,9 +266,12 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
     The members share the data, the architecture and the batch size, epoch
     limit and patience. Each keeps its own seed (initial weights and shuffle
     stream), learning rate, best snapshot and patience counter. Their
-    parameters form one (K, ...) stack whose per-member products round like
-    the member's own, so every result is bit-identical to a solo run. A
-    member leaves the stack when it stops early or diverges; the rest go on.
+    parameters form one (K, P) buffer whose per-member products round like
+    the member's own, so every result is bit-identical to a solo run. Each
+    epoch gathers every member's shuffled rows once and checks the
+    residuals for divergence at its end: a member leaves the stack at the
+    end of the epoch in which it stops early or diverges (a diverged member
+    steps on, non-finite, to that end); the rest go on.
     """
     x_train = np.asarray(train_data[0], dtype=float).reshape(-1, INPUT_WIDTH)
     y_train = np.asarray(train_data[1], dtype=float).reshape(-1)
@@ -281,9 +287,10 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
 
     act, act_grad = ACTIVATIONS[arch.activation]
     inits = [init_params(arch, c.seed) for c in cfgs]
-    stack = _Stack(np.arange(len(cfgs)), [np.stack(w) for w in zip(*(m.weights for m in inits))],
-                   [np.stack(b) for b in zip(*(m.biases for m in inits))],
-                   np.array([c.learning_rate for c in cfgs])[:, None, None])
+    theta = np.stack([np.concatenate([p.reshape(-1) for layer in zip(m.weights, m.biases)
+                                      for p in layer]) for m in inits])
+    stack = _Stack(np.arange(len(cfgs)), theta, (INPUT_WIDTH, *arch.hidden, 1),
+                   np.array([c.learning_rate for c in cfgs])[:, None])
     shuffles = [np.random.default_rng(np.random.SeedSequence(entropy=c.seed, spawn_key=(1,)))
                 for c in cfgs]
     outcomes = [None] * len(cfgs)
@@ -294,6 +301,7 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
     n = x_train.shape[0]
     starts = range(0, n, batch)
     batch_rows = np.array([min(batch, n - start) for start in starts])
+    full = n - n % batch  # rows in whole batches
     step = arch.chunk_rows
 
     # A diverging run overflows before the isfinite checks below catch it;
@@ -301,38 +309,32 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(max_epochs):
             orders = np.stack([shuffles[k].permutation(n) for k in stack.members])
-            abs_err_sums = np.empty((len(stack.members), len(starts)))
-            for j, start in enumerate(starts):
-                sel = orders[:, start:start + batch]
+            xs, ys = x_train[orders], y_train[orders]
+            errs = np.empty_like(ys)
+            for start in starts:
+                rows = slice(start, start + batch)
                 cache = []
-                pred = _forward(stack.w_rows, stack.b_rows, act, x_train[sel], cache)
-                err = pred - y_train[sel]
-                sums = abs_err_sums[:, j] = np.add.reduce(np.abs(err), axis=-1)
-                grads_w, grads_b = _backprop(stack.weights, cache, err, act_grad)
-                for w, b, gw, gb in zip(stack.weights, stack.biases, grads_w, grads_b):
-                    w -= np.multiply(gw, stack.rates, out=gw)
-                    b -= np.multiply(gb, stack.b_rates, out=gb)
-                if math.isfinite(sums.sum()):  # then every member's forward is finite
-                    continue
-                finite = np.isfinite(pred).all(axis=-1)
-                for k in stack.members[~finite]:
-                    outcomes[k] = TrainingDivergedError(
-                        f"non-finite forward pass at epoch {epoch}", epoch=epoch)
-                stack = stack.keep(finite)
-                orders, abs_err_sums = orders[finite], abs_err_sums[finite]
-                if not stack.members.size:
-                    break
-            del orders, sel  # free the shuffles before the validation pass, the peak of memory
+                pred = _forward(stack.w_rows, stack.b_rows, act, xs[:, rows], cache)
+                err = np.subtract(pred, ys[:, rows], out=errs[:, rows])
+                _backprop(stack.weights, cache, err, act_grad, out=stack.grads)
+                stack.theta -= np.multiply(stack.grad, stack.rates, out=stack.grad)
 
-            # np.mean of each batch's |err|, then of the batch means
-            train_maes = (abs_err_sums / batch_rows).mean(axis=-1)
+            # np.mean of each batch's |err|, then of the batch means; whole
+            # batches reduce as one block, bit for bit like each batch alone
+            sums = np.add.reduce(np.abs(errs[:, :full]).reshape(len(errs), -1, batch), axis=-1)
+            if full < n:
+                sums = np.column_stack([sums, np.add.reduce(np.abs(errs[:, full:]), axis=-1)])
+            train_maes = (sums / batch_rows).mean(axis=-1)
+            finite = np.isfinite(errs).all(axis=-1)
+            del orders, xs, ys, errs  # the validation pass sets the peak RSS of a `train` run
             stays = np.ones(len(stack.members), dtype=bool)
             for i, k in enumerate(stack.members):
                 member_w, member_b = [w[i] for w in stack.weights], [b[i] for b in stack.biases]
                 val_pred = np.concatenate([_forward(member_w, member_b, act, x_val[j:j + step])
                                            for j in range(0, len(x_val), step)])
                 train_mae, val_mae = float(train_maes[i]), float(np.mean(np.abs(val_pred - y_val)))
-                failure = ("validation pass" if not np.isfinite(val_pred).all() else
+                failure = ("forward pass" if not finite[i] else
+                           "validation pass" if not np.isfinite(val_pred).all() else
                            "loss" if not (math.isfinite(train_mae) and math.isfinite(val_mae)) else
                            None)
                 if failure:
@@ -361,21 +363,35 @@ def train_stack(train_data, val_data, arch: NetworkArch, cfgs):
 
 
 class _Stack:
-    """The parameters of the members still training, one row per member:
-    (K, in, out) weights, (K, out) biases and (K, 1, 1) learning rates."""
+    """The parameters of the members still training, one (K, P) row per
+    member in ``theta``, with its (K, 1) learning rates. ``weights`` and
+    ``biases`` are (K, in, out) and (K, out) views of ``theta``, layer after
+    layer; ``grads`` holds the same views of ``grad``, a buffer of its shape."""
 
-    def __init__(self, members, weights, biases, rates):
-        self.members, self.weights, self.biases, self.rates = members, weights, biases, rates
-        # views in the forward's stacked layout, and the rates shaped for the biases
-        self.w_rows = [w[:, None] for w in weights]
-        self.b_rows = [b[:, None] for b in biases]
-        self.b_rates = rates[..., 0]
+    def __init__(self, members, theta, dims, rates):
+        self.members, self.theta, self.dims, self.rates = members, theta, dims, rates
+        self.grad = np.empty_like(theta)
+        self.weights, self.biases = _layer_views(theta, dims)
+        self.grads = _layer_views(self.grad, dims)
+        # views in the forward's stacked layout
+        self.w_rows = [w[:, None] for w in self.weights]
+        self.b_rows = [b[:, None] for b in self.biases]
 
     def keep(self, mask):
         if mask.all():
             return self
-        return _Stack(self.members[mask], [w[mask] for w in self.weights],
-                      [b[mask] for b in self.biases], self.rates[mask])
+        return _Stack(self.members[mask], self.theta[mask], self.dims, self.rates[mask])
+
+
+def _layer_views(flat, dims):
+    """(K, in, out) weight and (K, out) bias views of each layer of a (K, P)
+    buffer whose rows hold, layer after layer, a layer's weights then its biases."""
+    weights, biases, at = [], [], 0
+    for n_in, n_out in zip(dims, dims[1:]):
+        weights.append(flat[:, at:at + n_in * n_out].reshape(len(flat), n_in, n_out))
+        biases.append(flat[:, at + n_in * n_out:at + (n_in + 1) * n_out])
+        at += (n_in + 1) * n_out
+    return weights, biases
 
 
 @dataclass(frozen=True)

@@ -510,6 +510,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert list(out.iterdir()) == []  # no output file, no manifest
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_a_split_with_an_empty_set_is_a_data_error_naming_the_file(self, tmp_path, capsys,
+                                                                       command, rows):
+        # At the default train.fraction of 0.8, one or two rows all go to training.
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("s1,s2,s3,r\n" + "20,150,90,30.5\n10,140,200,45.0\n"[:15 * rows])
+        extra = ["--variants", "dataset4"] if command == "gridsearch" else []
+        assert main(["--out", str(tmp_path / "o"), command, *extra, "--input", str(tiny)]) == 3
+        err = capsys.readouterr().err
+        what = (f"variant dataset4 keeps {rows} sample(s)" if extra else
+                f"{rows} sample(s) survive the prefilter")
+        assert err == (f"error: {tiny}: {what}; train.fraction = 0.8 splits them into {rows} "
+                       f"training and 0 validation rows, and each set needs at least one\n")
+        assert not (tmp_path / "o" / "model.txt").exists()
+        assert not (tmp_path / "o" / "grid_results.csv").exists()
+
     def test_exit_codes(self, tmp_path, sample_csv):
         # I/O error: missing input file
         assert main(["--out", str(tmp_path), "preprocess", "--input",
