@@ -197,43 +197,6 @@ class TestForward:
         assert [a.tobytes() for a in (x, *weights, *biases)] == before
 
 
-    @settings(max_examples=60, deadline=None)
-    @given(activation=st.sampled_from(sorted(network.ACTIVATIONS)),
-           hidden=st.lists(st.integers(1, 9), max_size=3), members=st.integers(0, 3),
-           rows=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
-    def test_backprop_into_flat_buffer_views_matches_the_allocating_path(
-            self, activation, hidden, members, rows, seed):
-        """Given views of one flat buffer laid out as ``train_stack``'s stack
-        lays out its gradients, ``_backprop`` writes every gradient into them,
-        returns those very arrays, fills the whole buffer and matches the
-        allocating path bit for bit. ``members`` > 0 stacks the parameters as
-        rows of a (K, P) buffer; 0 takes 2-D parameters from a 1-D one."""
-        rng = np.random.default_rng(seed)
-        dims = (3, *hidden, 1)
-        size = sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
-        shape = (max(members, 1), size)
-        theta, grad = rng.normal(0.0, 1.0, shape), np.full(shape, np.nan)
-        (weights, biases), out = network._layer_views(theta, dims), network._layer_views(grad, dims)
-        if not members:
-            weights, biases = [w[0] for w in weights], [b[0] for b in biases]
-            out = ([g[0] for g in out[0]], [g[0] for g in out[1]])
-        rows_of = (lambda p: p[:, None]) if members else (lambda p: p)
-        x = rng.normal(0.0, 2.0, (*([members] if members else []), rows, 3))
-        act, act_grad = network.ACTIVATIONS[activation]
-        cache = []
-        pred = network._forward([rows_of(w) for w in weights], [rows_of(b) for b in biases], act,
-                                x, cache)
-        err = pred - rng.normal(0.0, 1.0, pred.shape) * rng.integers(0, 2, pred.shape)
-        err[rng.random(err.shape) < 0.2] = 0.0  # exact hits have no gradient
-        want = network._backprop(weights, cache, err, act_grad)
-        views = [list(v) for v in out]
-        got = network._backprop(weights, cache, err, act_grad, out=out)
-        assert got[0] is out[0] and got[1] is out[1]
-        assert all(g is v for g, v in zip(got[0] + got[1], views[0] + views[1]))
-        assert [g.tobytes() for g in got[0] + got[1]] == [g.tobytes() for g in want[0] + want[1]]
-        assert not np.isnan(grad).any()
-
-
 class TestLoss:
     def test_exact_match(self):
         assert loss_mae([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -273,6 +236,42 @@ class TestBackward:
             fw, fb = finite_difference_grads(model, x, y)
             for got, ref in zip(gw + gb, fw + fb):
                 assert max_relative_gradient_error(got, ref) < 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(activation=st.sampled_from(sorted(network.ACTIVATIONS)),
+           hidden=st.lists(st.integers(1, 9), max_size=3), members=st.integers(0, 3),
+           rows=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    def test_backprop_into_flat_buffer_views_matches_the_allocating_path(
+            self, activation, hidden, members, rows, seed):
+        """Given views of one flat buffer laid out as ``train_stack``'s stack
+        lays out its gradients, ``_backprop`` writes every gradient into them,
+        returns those very arrays, fills the whole buffer and matches the
+        allocating path bit for bit. ``members`` > 0 stacks the parameters as
+        rows of a (K, P) buffer; 0 takes 2-D parameters from a 1-D one."""
+        rng = np.random.default_rng(seed)
+        dims = (3, *hidden, 1)
+        size = sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
+        shape = (max(members, 1), size)
+        theta, grad = rng.normal(0.0, 1.0, shape), np.full(shape, np.nan)
+        (weights, biases), out = network._layer_views(theta, dims), network._layer_views(grad, dims)
+        if not members:
+            weights, biases = [w[0] for w in weights], [b[0] for b in biases]
+            out = ([g[0] for g in out[0]], [g[0] for g in out[1]])
+        rows_of = (lambda p: p[:, None]) if members else (lambda p: p)
+        x = rng.normal(0.0, 2.0, (*([members] if members else []), rows, 3))
+        act, act_grad = network.ACTIVATIONS[activation]
+        cache = []
+        pred = network._forward([rows_of(w) for w in weights], [rows_of(b) for b in biases], act,
+                                x, cache)
+        err = pred - rng.normal(0.0, 1.0, pred.shape) * rng.integers(0, 2, pred.shape)
+        err[rng.random(err.shape) < 0.2] = 0.0  # exact hits have no gradient
+        want = network._backprop(weights, cache, err, act_grad)
+        views = [list(v) for v in out]
+        got = network._backprop(weights, cache, err, act_grad, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert all(g is v for g, v in zip(got[0] + got[1], views[0] + views[1]))
+        assert [g.tobytes() for g in got[0] + got[1]] == [g.tobytes() for g in want[0] + want[1]]
+        assert not np.isnan(grad).any()
 
 
 def tiny_problem(n=256, seed=0):
